@@ -1,0 +1,7 @@
+"""Import the benchmark package and the program source it measures."""
+
+import sys
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(PERFBENCH.parent / "src"), str(PERFBENCH)]
