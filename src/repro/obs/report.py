@@ -7,7 +7,7 @@ metadata.  It is the shape the CLI writes with ``--trace-out``, the eval
 harness merges across workers, and the golden/differential tests compare.
 
 The module is dependency-free on purpose (stdlib only): traces must stay
-readable on hosts without numpy/scipy, and importing them must never pull
+readable on hosts without numpy, and importing them must never pull
 the detection stack in.
 """
 

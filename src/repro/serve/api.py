@@ -419,11 +419,25 @@ class _Handler(BaseHTTPRequestHandler):
         except ValueError:
             raise ApiError(f"expected an integer, got {token!r}") from None
 
-    def _body(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b"{}"
+    def _read_body(self) -> bytes:
+        """Consume the whole request body, whatever the route.
+
+        A keep-alive connection frames the next request right after this
+        body, so every POST must read exactly ``Content-Length`` bytes —
+        including routes that ignore the payload.
+        """
+        header = self.headers.get("Content-Length", "0")
         try:
-            payload = json.loads(raw or b"{}")
+            length = int(header)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ApiError(f"invalid Content-Length {header!r}")
+        return self.rfile.read(length) if length else b""
+
+    def _body(self) -> dict:
+        try:
+            payload = json.loads(self._raw_body or b"{}")
         except json.JSONDecodeError as error:
             raise ApiError(f"request body is not valid JSON: {error}") from None
         if not isinstance(payload, dict):
@@ -434,6 +448,14 @@ class _Handler(BaseHTTPRequestHandler):
         self._dispatch("GET")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
+        try:
+            self._raw_body = self._read_body()
+        except ApiError as error:
+            # The body's extent is unknown, so the connection cannot be
+            # re-framed for another request.
+            self.close_connection = True
+            self._send(error.status, {"error": str(error)})
+            return
         self._dispatch("POST")
 
 

@@ -9,7 +9,7 @@ from repro.core.thresholds import (
     t_click_from_graph,
     t_click_threshold,
 )
-from repro.graph import BipartiteGraph
+from repro.graph import BipartiteGraph, side_stats
 
 
 @pytest.fixture()
@@ -54,6 +54,19 @@ class TestParetoHotThreshold:
         )
         assert hot_mass >= 0.8 * skewed_graph.total_clicks
 
+    def test_matches_the_ranked_cumulative_loop(self, small):
+        totals = sorted(
+            (small.graph.item_total_clicks(i) for i in small.graph.items()),
+            reverse=True,
+        )
+        cumulative, expected = 0, None
+        for total in totals:
+            cumulative += total
+            if cumulative >= 0.8 * sum(totals):
+                expected = total
+                break
+        assert pareto_hot_threshold(small.graph, 0.8) == expected
+
 
 class TestTClick:
     def test_paper_inputs(self):
@@ -78,6 +91,8 @@ class TestTClick:
         value = t_click_from_graph(small.graph)
         assert isinstance(value, int)
         assert value >= 2
+        stats = side_stats(small.graph, "user")
+        assert value == t_click_threshold(stats.avg_clk, stats.avg_cnt)
 
     def test_from_empty_graph(self, empty_graph):
         assert t_click_from_graph(empty_graph) == 2

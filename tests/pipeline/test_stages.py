@@ -137,12 +137,10 @@ class TestExtraction:
             Extraction().extract(small.graph, FIXED)
         assert recorder.gauges["detect.engine"] == "reference"
 
-    def test_sparse_without_scipy_raises(self, small, monkeypatch):
-        from repro.core import extraction_sparse
-
-        monkeypatch.setattr(extraction_sparse, "sparse_available", lambda: False)
-        with pytest.raises(RuntimeError, match="scipy"):
-            Extraction(engine="sparse").extract(small.graph, FIXED)
+    def test_auto_switches_to_bitset_above_threshold(self, small):
+        with obs.recording(obs.Recorder()) as recorder:
+            Extraction(engine="auto", auto_edge_threshold=0).extract(small.graph, FIXED)
+        assert recorder.gauges["detect.engine"] == "bitset"
 
 
 class TestScreeningStage:

@@ -11,6 +11,7 @@ version.
 import json
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -219,6 +220,38 @@ class TestHTTPServer:
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request)
         assert excinfo.value.code == 400
+
+
+    def test_keep_alive_survives_bodies_on_routes_that_ignore_them(self, served):
+        _, port = served
+        connection = HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            connection.request(
+                "POST", "/v1/pump", body=b"{}",
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            connection.request("GET", "/v1/status")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert "store_version" in json.loads(response.read())
+        finally:
+            connection.close()
+
+    def test_non_numeric_content_length_is_a_400(self, served):
+        _, port = served
+        connection = HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            connection.putrequest("POST", "/v1/clicks")
+            connection.putheader("Content-Length", "abc")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "error" in json.loads(response.read())
+        finally:
+            connection.close()
 
 
 class TestRestartContract:

@@ -6,9 +6,7 @@ import pytest
 
 from repro.graph import BipartiteGraph, connected_components, from_click_records
 from repro.shard.partition import (
-    Component,
     ShardPlan,
-    _components_csgraph,
     graph_components,
     partition_graph,
 )
@@ -37,24 +35,6 @@ class TestGraphComponents:
             for users, items in connected_components(graph)
         }
         assert _as_sets(fast) == reference
-
-    def test_csgraph_path_matches_fallback(self, small):
-        graph = small.graph
-        via_csgraph = _components_csgraph(graph)
-        if via_csgraph is None:
-            pytest.skip("scipy not installed")
-        via_bfs = [
-            Component(
-                users=frozenset(users),
-                items=frozenset(items),
-                edges=sum(graph.user_degree(user) for user in users),
-            )
-            for users, items in connected_components(graph)
-        ]
-        assert _as_sets(via_csgraph) == _as_sets(via_bfs)
-        assert sorted(c.edges for c in via_csgraph) == sorted(
-            c.edges for c in via_bfs
-        )
 
     def test_edge_counts_sum_to_graph(self):
         graph = _component_graph(5)
