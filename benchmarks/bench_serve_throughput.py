@@ -7,9 +7,9 @@ served state is asserted canonically equal to a one-shot batch
 :meth:`~repro.core.framework.RICDDetector.detect` over the same prefix
 graph — the service's exactness contract, validated at scale, not just
 on the difftest miniatures.  Between checkpoints the bounded-staleness
-scheduler drives regional rechecks, whose lag distribution (simulated
-seconds between a dirty mark and the recheck that covers it) is the
-serving-freshness headline: events/s plus p50/p99 recheck lag.
+scheduler drives rechecks of the live graph, whose lag distribution
+(simulated seconds between a dirty mark and the recheck that covers it)
+is the serving-freshness headline: events/s plus p50/p99 recheck lag.
 
 ``RICD_SERVE_SCALE`` shrinks the replay for quick local runs (default
 ``0.0125`` — ~1.09M click records); the event-count floor is only

@@ -3,8 +3,9 @@
 Implements the paper's future-work scenario (Section VIII): during a
 "Double 11"-style campaign, click batches arrive continuously and the
 platform wants the attack flagged *while it is happening*, not in the
-nightly batch job.  The :class:`IncrementalRICD` extension re-checks only
-the two-hop dirty region around each batch.
+nightly batch job.  The :class:`IncrementalRICD` extension applies each
+batch to a live graph and re-runs batch detection over it, so every
+recheck serves exactly what a nightly run on that graph would find.
 
 Run:  python examples/online_monitoring.py
 """

@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dirty",
         type=int,
         default=5_000,
-        help="staleness bound: dirty-region size that forces a recheck (default 5000)",
+        help="staleness bound: dirty-set size that forces a recheck (default 5000)",
     )
     serve_parser.add_argument(
         "--max-batches",
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-dirty",
         type=int,
         default=5_000,
-        help="staleness bound: dirty-region size that forces a recheck (default 5000)",
+        help="staleness bound: dirty-set size that forces a recheck (default 5000)",
     )
     server_parser.add_argument(
         "--max-batches",

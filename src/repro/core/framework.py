@@ -293,8 +293,7 @@ class RICDDetector:
         """Modules 1 + 2 with the given (possibly relaxed) parameters.
 
         The unit of work every execution strategy schedules — in-line, per
-        shard, or in a pool worker — and the seam the incremental layer's
-        dirty-region recheck reuses.  Subclass overrides therefore apply
+        shard, or in a pool worker.  Subclass overrides therefore apply
         in every execution mode.
         """
         ctx = PipelineContext(graph=graph, params=params, screening=screening, timer=timer)

@@ -93,8 +93,8 @@ class DetectionResult:
         which units fell back.
     stale:
         Set by :class:`~repro.core.incremental.IncrementalRICD` when a
-        recheck failed and this (previous, still valid) result was kept;
-        the dirty region is retained and re-covered by the next recheck.
+        recheck failed and this previous result was kept; the dirty set
+        is retained, so the next recheck runs again.
     """
 
     suspicious_users: set[Node] = field(default_factory=set)

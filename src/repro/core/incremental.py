@@ -5,24 +5,21 @@ processing module to this framework so that it can be applied online to
 perform the detection in dynamic graphs ... the earlier these attacks are
 detected in real time, the more losses can be reduced."
 
-:class:`IncrementalRICD` implements that module with a *dirty-region*
-strategy:
+:class:`IncrementalRICD` implements that module over one live graph:
 
-1. click batches are applied to a live copy of the graph;
-2. every user/item touched by a batch is marked dirty;
-3. on demand (or automatically every ``recheck_batches`` batches), the
-   detector re-runs — not on the whole graph, but on the two-hop
-   neighbourhood of the dirty region (the same seed-expansion primitive
-   Algorithm 2 uses for business-department seeds), since an
-   ``(alpha, k1, k2)``-extension biclique gaining an edge must contain a
-   dirty node, and every node of a group containing a dirty node lies
-   within two hops of it;
-4. newly found groups are merged into the running result; groups whose
-   nodes were untouched since the last full pass stay valid.
+1. click batches are applied to a live copy of the graph, whose memoized
+   array index is updated by deltas where it can be, not rebuilt;
+2. every user/item touched by a batch is marked dirty — the dirty sets
+   only measure how stale the served result is (the serving layer's
+   scheduler reads their size and age);
+3. on demand (or automatically every ``recheck_batches`` batches), one
+   batch :meth:`~repro.core.framework.RICDDetector.detect` runs over the
+   whole live graph and its result replaces the served one.
 
-Thresholds (``T_hot``/``T_click``) are global statistics, so they are
-re-derived from the *full* live graph at every recheck, exactly as the
-batch framework does.
+So the served result equals a one-shot batch detect after *every*
+recheck, not only at checkpoints.  A neighbourhood-restricted pass would
+save nothing here: on every stream measured, the two-hop neighbourhood
+of a recheck's dirty nodes held 99% or more of the graph's edges.
 """
 
 from __future__ import annotations
@@ -32,15 +29,14 @@ from pathlib import Path
 from typing import Callable, Hashable, Iterable
 
 from .. import obs
-from .._util import Stopwatch
 from ..config import RICDParams, ScreeningParams
 from ..errors import ReproError
 from ..graph.bipartite import BipartiteGraph
-from ..graph.builders import seed_expansion
-from ..pipeline import Identification, PipelineContext
+# Unused here; the perfbench tracer wraps this module attribute by name.
+from ..graph.builders import seed_expansion  # noqa: F401
 from ..resilience.faults import inject
 from .framework import RICDDetector
-from .groups import DetectionResult, SuspiciousGroup
+from .groups import DetectionResult
 
 __all__ = ["ClickBatch", "IncrementalRICD"]
 
@@ -86,32 +82,20 @@ class IncrementalRICD:
         screening: ScreeningParams | None = None,
         recheck_batches: int | None = 10,
         max_group_users: int | None = 18,
-        traverse_degree_cap: int | None = None,
-        engine: str = "reference",
+        engine: str = "auto",
         time_source: Callable[[], float] | None = None,
         *,
         adopt_graph: bool = False,
         initial_result: DetectionResult | None = None,
     ):
-        """``traverse_degree_cap`` bounds the dirty-region expansion: the
-        BFS does not traverse *through* nodes above the cap (hub items
-        would otherwise drag their whole clicker set into every recheck;
-        attack cores survive because co-workers always share low-degree
-        target items).  ``None`` re-derives 10x the mean item degree from
-        the *live* graph at every recheck — a long-lived stream can grow
-        an order of magnitude past its bootstrap, and a cap frozen at
-        ``t=0`` would silently shrink the dirty region relative to the
-        marketplace.  An explicit cap stays fixed forever; pass a huge
-        value to disable the cap.
-
-        ``recheck_batches=None`` disables the built-in every-N-batches
+        """``recheck_batches=None`` disables the built-in every-N-batches
         cadence entirely: rechecks then happen only when a caller invokes
         :meth:`recheck` — the mode the streaming service uses, where a
         bounded-staleness scheduler owns the cadence decision.
 
         ``time_source`` (a ``() -> float`` clock read, e.g. the serving
         layer's :meth:`~repro.serve.clock.Clock.now`) lets the detector
-        stamp when its dirty region *started* accumulating, exposed as
+        stamp when its dirty set *started* accumulating, exposed as
         :attr:`dirty_since` / :meth:`dirty_age` — the signal behind the
         scheduler's ``max_age`` staleness bound.  Without one, ages read
         as zero and only size/batch bounds can fire.
@@ -124,10 +108,6 @@ class IncrementalRICD:
         starting state; the caller asserts it matches the graph."""
         if recheck_batches is not None and recheck_batches < 1:
             raise ValueError(f"recheck_batches must be >= 1, got {recheck_batches}")
-        self._explicit_traverse_cap = traverse_degree_cap is not None
-        if traverse_degree_cap is None:
-            traverse_degree_cap = self._derive_traverse_cap(initial_graph)
-        self._traverse_degree_cap = traverse_degree_cap
         self._graph = initial_graph if adopt_graph else initial_graph.copy()
         self._detector = RICDDetector(
             params=params or RICDParams(),
@@ -159,8 +139,7 @@ class IncrementalRICD:
         screening: ScreeningParams | None = None,
         recheck_batches: int | None = None,
         max_group_users: int | None = 18,
-        traverse_degree_cap: int | None = None,
-        engine: str = "reference",
+        engine: str = "auto",
         time_source: Callable[[], float] | None = None,
     ) -> "IncrementalRICD":
         """Resume from the latest checkpoint of a detection store.
@@ -200,7 +179,6 @@ class IncrementalRICD:
             screening=screening,
             recheck_batches=recheck_batches,
             max_group_users=max_group_users,
-            traverse_degree_cap=traverse_degree_cap,
             engine=engine,
             time_source=time_source,
             adopt_graph=True,
@@ -290,22 +268,10 @@ class IncrementalRICD:
         self._pending_destructive = False
         return version
 
-    @staticmethod
-    def _derive_traverse_cap(graph: BipartiteGraph) -> int:
-        """10x the mean item degree of ``graph``, floored at 50."""
-        n_items = max(1, graph.num_items)
-        mean_degree = graph.num_edges / n_items
-        return max(50, int(10 * mean_degree))
-
     @property
     def graph(self) -> BipartiteGraph:
         """The live graph (treat as read-only)."""
         return self._graph
-
-    @property
-    def traverse_degree_cap(self) -> int:
-        """The dirty-region BFS cap currently in force."""
-        return self._traverse_degree_cap
 
     @property
     def current_result(self) -> DetectionResult:
@@ -324,9 +290,9 @@ class IncrementalRICD:
 
     @property
     def dirty_since(self) -> float | None:
-        """Clock time the dirty region started accumulating, or ``None``.
+        """Clock time the dirty set started accumulating, or ``None``.
 
-        Stamped from ``time_source`` when the dirty region transitions
+        Stamped from ``time_source`` when the dirty set transitions
         from empty to non-empty; cleared when a recheck covers it.  Always
         ``None`` without a time source.
         """
@@ -339,7 +305,7 @@ class IncrementalRICD:
         return max(0.0, now - self._dirty_since)
 
     def _mark_dirty(self, user: Node, item: Node) -> None:
-        """Mark both endpoints dirty, stamping the region's birth time."""
+        """Mark both endpoints dirty, stamping when staleness began."""
         if (
             self._dirty_since is None
             and self._time_source is not None
@@ -351,7 +317,7 @@ class IncrementalRICD:
         self._dirty_items.add(item)
 
     def ingest(self, batch: ClickBatch) -> DetectionResult:
-        """Apply one batch; recheck the dirty region when due.
+        """Apply one batch; recheck when due.
 
         Returns the (possibly refreshed) current result.
         """
@@ -371,7 +337,7 @@ class IncrementalRICD:
     def apply_cleanup(
         self, edges: Iterable[tuple[Node, Node, int]]
     ) -> DetectionResult:
-        """Remove (or reduce) click records and recheck the touched region.
+        """Remove (or reduce) click records and recheck right away.
 
         The post-detection half of the online loop: once the platform
         confirms a group, its attributed fake edges (see
@@ -401,17 +367,10 @@ class IncrementalRICD:
         return self.recheck()
 
     def recheck(self) -> DetectionResult:
-        """Re-run detection on the dirty region and merge into the state.
+        """Re-run detection over the live graph if anything is dirty.
 
-        Groups from the previous state whose members are all clean are
-        kept verbatim; groups intersecting the dirty region are replaced
-        by whatever the fresh regional pass finds.
-
-        Resilience: a recheck that dies with a framework error keeps the
-        *previous* result — marked ``stale`` so callers know it predates
-        the dirty batches — and retains the dirty sets, so the next
-        recheck (or the next due batch) re-covers the same region.  A
-        stream never loses its detection state to one failed pass.
+        With nothing dirty the served result is already current, so the
+        only work is retrying a persist that a store fault absorbed.
         """
         if not self._dirty_users and not self._dirty_items:
             self._batches_since_recheck = 0
@@ -421,10 +380,24 @@ class IncrementalRICD:
                 # Retry so the backlog lands as soon as pressure is off.
                 self._persist()
             return self._result
+        return self.recheck_full()
 
+    def recheck_full(self) -> DetectionResult:
+        """Run the detection pass now, even when nothing is dirty.
+
+        The pass is one batch :meth:`RICDDetector.detect` over the live
+        graph, so the refreshed state equals a one-shot batch run on the
+        same graph.  The streaming service calls this at checkpoints.
+
+        Resilience: a pass that dies with a framework error keeps the
+        *previous* result — marked ``stale`` so callers know it predates
+        the dirty batches — and retains the dirty sets, so the next
+        recheck (or the next due batch) runs again.  A stream never loses
+        its detection state to one failed pass.
+        """
         try:
             inject("recheck")
-            result = self._recheck_dirty_region()
+            result = self._detector.detect(self._graph)
         except ReproError:
             obs.count("resilience.stale_rechecks")
             self._result.stale = True
@@ -436,86 +409,9 @@ class IncrementalRICD:
             self._persist()
             return self._result
         self._result = result
-        self._result.stale = False
         self._dirty_users.clear()
         self._dirty_items.clear()
         self._dirty_since = None
         self._batches_since_recheck = 0
         self._persist()
         return self._result
-
-    def recheck_full(self) -> DetectionResult:
-        """Mark *everything* dirty and recheck — an exact synchronization.
-
-        With the whole graph dirty no previous group is kept and the
-        regional pass runs over the full live graph, so the refreshed
-        state equals a one-shot batch :meth:`RICDDetector.detect` on the
-        same graph (the property the checkpointed parity suite pins).
-        The streaming service calls this at checkpoints/drain; between
-        them the cheaper dirty-region rechecks serve the live result.
-        """
-        self._dirty_users.update(self._graph.users())
-        self._dirty_items.update(self._graph.items())
-        return self.recheck()
-
-    def _recheck_dirty_region(self) -> DetectionResult:
-        """The recheck body: regional pass + merge, no state mutation."""
-        if not self._explicit_traverse_cap:
-            # The marketplace grows under the stream; a derived cap must
-            # track the live mean degree or the dirty region quietly
-            # shrinks relative to it.  Explicit caps are user policy and
-            # stay fixed.
-            self._traverse_degree_cap = self._derive_traverse_cap(self._graph)
-        all_dirty = (
-            len(self._dirty_users) >= self._graph.num_users
-            and len(self._dirty_items) >= self._graph.num_items
-            # Length alone can lie when cleanup removed nodes that are
-            # still in the dirty sets; the O(U+V) membership sweep is
-            # negligible next to the O(E) expansion it avoids.
-            and all(user in self._dirty_users for user in self._graph.users())
-            and all(item in self._dirty_items for item in self._graph.items())
-        )
-        if all_dirty:
-            # Everything is dirty (bootstrap replays, checkpoint syncs):
-            # the region IS the graph, so skip the O(E) expansion copy.
-            # The detector never mutates its input, so sharing is safe.
-            region = self._graph
-        else:
-            region = seed_expansion(
-                self._graph,
-                seed_users=sorted(self._dirty_users, key=str),
-                seed_items=sorted(self._dirty_items, key=str),
-                hops=2,
-                max_traverse_degree=self._traverse_degree_cap,
-            )
-        # Thresholds are global: resolve against the full live graph, then
-        # run the detector's shared module stages on the region only —
-        # the same extraction/screening/size-caps chain every other
-        # execution path composes, so regional and batch rechecks cannot
-        # drift apart.
-        timer = Stopwatch()
-        resolved = self._detector.resolve_thresholds(self._graph)
-        regional = self._detector._run_modules(
-            region, resolved, self._detector.screening, timer
-        )
-
-        kept: list[SuspiciousGroup] = [
-            group
-            for group in self._result.groups
-            if not (group.users & self._dirty_users)
-            and not (group.items & self._dirty_items)
-        ]
-        ctx = PipelineContext(
-            graph=self._graph,
-            params=resolved,
-            screening=self._detector.screening,
-            timer=timer,
-            groups=kept + [group.copy() for group in regional],
-        )
-        # Identification ranks against the full live graph, like the
-        # batch pipeline's final stage.
-        Identification().run(ctx)
-        result = ctx.result
-        result.timings = dict(timer.durations)
-        return result
-

@@ -55,7 +55,6 @@ def seed_expansion(
     seed_users: Sequence[Node] = (),
     seed_items: Sequence[Node] = (),
     hops: int = 2,
-    max_traverse_degree: int | None = None,
 ) -> BipartiteGraph:
     """Induced subgraph reachable within ``hops`` edges of any seed node.
 
@@ -77,13 +76,6 @@ def seed_expansion(
         Known abnormal node ids.
     hops:
         BFS radius; each user→item or item→user step costs one hop.
-    max_traverse_degree:
-        When set, the BFS does not expand *through* nodes whose degree
-        exceeds the cap (the node itself is still included).  Hub nodes —
-        hot items with thousands of clickers — would otherwise pull their
-        whole neighbourhood into the region; attack-group connectivity
-        survives the cap because co-workers always share several
-        *low-degree* target items, never only a hub.
 
     Returns
     -------
@@ -111,18 +103,12 @@ def seed_expansion(
         if depth >= hops:
             continue
         if side == "user":
-            neighbors = graph.user_neighbors(node)
-            if max_traverse_degree is not None and depth > 0 and len(neighbors) > max_traverse_degree:
-                continue
-            for item in neighbors:
+            for item in graph.user_neighbors(node):
                 if item not in seen_items:
                     seen_items.add(item)
                     frontier.append(("item", item, depth + 1))
         else:
-            neighbors = graph.item_neighbors(node)
-            if max_traverse_degree is not None and depth > 0 and len(neighbors) > max_traverse_degree:
-                continue
-            for user in neighbors:
+            for user in graph.item_neighbors(node):
                 if user not in seen_users:
                     seen_users.add(user)
                     frontier.append(("user", user, depth + 1))

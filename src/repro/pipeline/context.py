@@ -43,8 +43,8 @@ class PipelineContext:
     working:
         The graph modules 1 + 2 actually run on: the seed-expanded
         neighbourhood when business seeds were given, a shard subgraph
-        inside :class:`~repro.pipeline.execution.ShardedExecution`, the
-        dirty region during an incremental recheck, or ``graph`` itself.
+        inside :class:`~repro.pipeline.execution.ShardedExecution`, or
+        ``graph`` itself.
     params, screening:
         The current parameter pair.  The feedback driver replaces these
         with relaxed copies between rounds; stages must read them from

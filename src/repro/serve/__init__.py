@@ -5,7 +5,7 @@ The batch reproduction answers "is this click table under attack?"; this
 package answers it *continuously*: click events stream into a bounded
 queue, a micro-batch pump drains them into an
 :class:`~repro.core.incremental.IncrementalRICD`, and a bounded-staleness
-scheduler decides when the accumulated dirty region is rechecked.  Under
+scheduler decides when the live graph is rechecked.  Under
 overload the service degrades explicitly instead of falling over —
 oldest-first shedding, coarser recheck cadence, stale-result serving —
 with every step accounted through :mod:`repro.obs` and surfaced as

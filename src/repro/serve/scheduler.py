@@ -2,10 +2,10 @@
 
 The online detector's result is allowed to lag the stream, but only
 within explicit bounds.  :class:`StalenessPolicy` states them — a recheck
-becomes due when the dirty region grows past ``max_dirty`` nodes, OR
-``max_batches`` micro-batches have been ingested since the last recheck,
-OR the oldest un-rechecked click is ``max_age`` clock-seconds old,
-whichever trips first.  :class:`RecheckScheduler` evaluates the policy
+becomes due when ``max_dirty`` nodes were touched since the last recheck,
+OR ``max_batches`` micro-batches have been ingested since the last
+recheck, OR the oldest un-rechecked click is ``max_age`` clock-seconds
+old, whichever trips first.  :class:`RecheckScheduler` evaluates the policy
 against the live detector state and reports *which* bound fired, so the
 decision is observable (``serve.recheck_reason`` gauge) and pinnable in
 tests at exact boundary values.
@@ -35,7 +35,7 @@ class StalenessPolicy:
     Parameters
     ----------
     max_dirty:
-        Dirty-region size bound (users + items awaiting recheck).
+        Dirty-set size bound (users + items awaiting recheck).
     max_batches:
         Ingested micro-batches between rechecks.
     max_age:
@@ -95,7 +95,7 @@ class RecheckScheduler:
         """The bound that fired (``"dirty"``/``"batches"``/``"age"``), or ``None``.
 
         A recheck with nothing dirty is pointless, so nothing is ever due
-        while the dirty region is empty.  ``scale`` multiplies every bound
+        while the dirty set is empty.  ``scale`` multiplies every bound
         — the degradation ladder's coarser-cadence lever.
         """
         if dirty_size == 0:

@@ -4,8 +4,8 @@
 events stream into a :class:`~repro.serve.queue.BoundedEventQueue`, the
 pump drains them in micro-batches into an
 :class:`~repro.core.incremental.IncrementalRICD`, and a
-:class:`~repro.serve.scheduler.RecheckScheduler` triggers dirty-region
-rechecks under a bounded-staleness policy.  Two driving modes share one
+:class:`~repro.serve.scheduler.RecheckScheduler` triggers rechecks of
+the live graph under a bounded-staleness policy.  Two driving modes share one
 code path:
 
 * **pump mode** (tests, replay harnesses) — the caller invokes
@@ -391,7 +391,7 @@ class DetectionService:
         if result.stale:
             # The recheck itself failed (fault injection, framework
             # error); IncrementalRICD kept the previous result and the
-            # dirty region, so the next due recheck re-covers it.
+            # dirty set, so the next due recheck runs again.
             self._note("serve.recheck_failed")
         if budget is not None and budget.expired:
             self._note("serve.recheck_over_budget")
@@ -432,7 +432,7 @@ class DetectionService:
         """Pump the queue dry, then recheck whatever is still dirty.
 
         Idempotent: draining an already-drained service pumps nothing and
-        the recheck of an empty dirty region returns the current result
+        the recheck of an empty dirty set returns the current result
         unchanged.
         """
         with self._lock:
@@ -509,7 +509,7 @@ class DetectionService:
 
     @property
     def recheck_lags(self) -> list[float]:
-        """Dirty-region age (clock seconds) at each recheck, in order."""
+        """Dirty-set age (clock seconds) at each recheck, in order."""
         return list(self._recheck_lags)
 
     def snapshot(self) -> ServiceSnapshot:

@@ -119,7 +119,7 @@ def test_age_bound_fires_on_an_idle_pump():
     submit_burst(service, 2)
     assert service.pump().recheck_reason is None
     clock.advance(60.0)
-    # No new traffic: the idle pump still notices the aged dirty region.
+    # No new traffic: the idle pump still notices the aged dirty set.
     report = service.pump()
     assert report.applied == 0
     assert report.recheck_reason == "age"
@@ -225,7 +225,7 @@ def test_recheck_fault_serves_previous_result_marked_stale():
     assert snapshot.result.stale
     assert snapshot.degraded
     assert "serve.recheck_failed" in snapshot.provenance
-    # The dirty region survived the failed pass; the next recheck covers it.
+    # The dirty set survived the failed pass; the next recheck covers it.
     assert service.online.dirty_size > 0
     service.drain()
     assert not service.snapshot().result.stale
