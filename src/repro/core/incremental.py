@@ -7,8 +7,9 @@ detected in real time, the more losses can be reduced."
 
 :class:`IncrementalRICD` implements that module over one live graph:
 
-1. click batches are applied to a live copy of the graph, whose memoized
-   array index is updated by deltas where it can be, not rebuilt;
+1. click batches are appended to the live graph — the initial graph's
+   frozen array snapshot plus a pending buffer of records, folded into
+   the snapshot by one vectorized merge when the next recheck reads it;
 2. every user/item touched by a batch is marked dirty — the dirty sets
    only measure how stale the served result is (the serving layer's
    scheduler reads their size and age);
@@ -25,6 +26,7 @@ of a recheck's dirty nodes held 99% or more of the graph's edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Hashable, Iterable
 
@@ -85,7 +87,6 @@ class IncrementalRICD:
         engine: str = "auto",
         time_source: Callable[[], float] | None = None,
         *,
-        adopt_graph: bool = False,
         initial_result: DetectionResult | None = None,
     ):
         """``recheck_batches=None`` disables the built-in every-N-batches
@@ -100,15 +101,16 @@ class IncrementalRICD:
         scheduler's ``max_age`` staleness bound.  Without one, ages read
         as zero and only size/batch bounds can fire.
 
-        ``adopt_graph`` takes ownership of ``initial_graph`` instead of
-        copying it — the warm-start path, where the graph arrived from a
-        store with its memoized array snapshot installed and a defensive
-        copy would throw that warmth away.  ``initial_result`` skips the
-        bootstrap full pass by installing a (persisted) result as the
-        starting state; the caller asserts it matches the graph."""
+        The live graph lazily wraps ``initial_graph.indexed()`` (see
+        :meth:`BipartiteGraph.from_indexed`), cold start and warm start
+        alike: the snapshot is frozen, so ingest never mutates the
+        caller's graph, and a graph that arrives warm (from a store) keeps
+        its memoized snapshot.  ``initial_result`` skips the bootstrap
+        full pass by installing a (persisted) result as the starting
+        state; the caller asserts it matches the graph."""
         if recheck_batches is not None and recheck_batches < 1:
             raise ValueError(f"recheck_batches must be >= 1, got {recheck_batches}")
-        self._graph = initial_graph if adopt_graph else initial_graph.copy()
+        self._graph = BipartiteGraph.from_indexed(initial_graph.indexed())
         self._detector = RICDDetector(
             params=params or RICDParams(),
             screening=screening or ScreeningParams(),
@@ -145,14 +147,11 @@ class IncrementalRICD:
         """Resume from the latest checkpoint of a detection store.
 
         ``store`` is an open :class:`~repro.store.DetectionStore` (or a
-        path to one).  The head graph loads warm *and lazy*: the array
-        snapshot installs as the mutable graph's backing truth in O(1) —
-        no per-edge rebuild loop — and per-vertex adjacency materializes
-        only where the stream actually writes (ingested clicks hydrate
-        their two endpoints; destructive cleanup hydrates per edge it
-        deletes), so resume latency is independent of graph size.  The
-        snapshot doubles as the memoized array view, so the first
-        ``indexed()`` access is a cache hit.  The
+        path to one).  The head snapshot becomes the live graph's backing
+        truth in O(1) — no per-edge rebuild loop, ingested clicks only
+        join its pending buffer — so resume latency is independent of
+        graph size.  The snapshot doubles as the memoized array view, so
+        the first ``indexed()`` access is a cache hit.  The
         persisted result becomes the starting state — degraded/stale
         provenance intact, no bootstrap pass — and persisted thresholds
         are rehydrated into the detector's memo so the first resolution
@@ -172,20 +171,20 @@ class IncrementalRICD:
             params = stored_input
         if screening is None:
             screening = stored_screening
-        graph = store.load_graph()
         online = cls(
-            graph,
+            store.load_graph(),
             params=params,
             screening=screening,
             recheck_batches=recheck_batches,
             max_group_users=max_group_users,
             engine=engine,
             time_source=time_source,
-            adopt_graph=True,
             initial_result=store.load_result(),
         )
         if stored_resolved is not None and online._detector.params == stored_input:
-            online._detector._thresholds().rehydrate(graph, stored_input, stored_resolved)
+            online._detector._thresholds().rehydrate(
+                online.graph, stored_input, stored_resolved
+            )
         online.attach_store(store)
         return online
 
@@ -304,8 +303,8 @@ class IncrementalRICD:
             return 0.0
         return max(0.0, now - self._dirty_since)
 
-    def _mark_dirty(self, user: Node, item: Node) -> None:
-        """Mark both endpoints dirty, stamping when staleness began."""
+    def _mark_dirty(self, users: Iterable[Node], items: Iterable[Node]) -> None:
+        """Mark the endpoints dirty, stamping when staleness began."""
         if (
             self._dirty_since is None
             and self._time_source is not None
@@ -313,19 +312,22 @@ class IncrementalRICD:
             and not self._dirty_items
         ):
             self._dirty_since = self._time_source()
-        self._dirty_users.add(user)
-        self._dirty_items.add(item)
+        self._dirty_users.update(users)
+        self._dirty_items.update(items)
 
     def ingest(self, batch: ClickBatch) -> DetectionResult:
-        """Apply one batch; recheck when due.
+        """Append one batch to the live graph; recheck when due.
 
+        The graph buffers the records (see :meth:`BipartiteGraph.add_clicks`)
+        and the touched nodes are marked dirty in one pass per side.
         Returns the (possibly refreshed) current result.
         """
-        for user, item, clicks in batch.records:
-            self._graph.add_click(user, item, clicks)
-            self._mark_dirty(user, item)
+        records = batch.records
+        if records:
+            self._graph.add_clicks(records)
+            self._mark_dirty(map(itemgetter(0), records), map(itemgetter(1), records))
         if self._store is not None:
-            self._pending_records.extend(batch.records)
+            self._pending_records.extend(records)
         self._batches_since_recheck += 1
         if (
             self._recheck_batches is not None
@@ -359,7 +361,7 @@ class IncrementalRICD:
                     # re-derived thresholds away from a freshly built
                     # graph's.  The parity test pins this.
                     self._graph.remove_edge(user, item)
-            self._mark_dirty(user, item)
+            self._mark_dirty((user,), (item,))
         if self._store is not None:
             # Deltas are append-only click records; removals force the
             # next persisted version to be a full snapshot.

@@ -12,40 +12,68 @@ Users and items live in separate namespaces: the same identifier may appear
 on both sides without clashing, as in the paper's tables where user ids and
 item ids are independent integer sequences.
 
-**Lazy array backing (warm start).**  A graph rebuilt from a frozen
-:class:`~repro.graph.indexed.IndexedGraph` snapshot via :meth:`from_indexed`
-does *not* loop over the edge arrays: the snapshot installs as the backing
-truth, and per-vertex dict adjacency materializes on demand
-(copy-on-write per vertex).  The invariant every read path rests on:
+**Lazy array backing (the live-service mode).**  A graph built by
+:meth:`from_indexed` does not loop over the edge arrays: the frozen
+:class:`~repro.graph.indexed.IndexedGraph` snapshot *is* the graph, plus
+a pending buffer of the click records appended since.  The online
+detector wraps every live graph this way, cold start and warm start
+alike.  The invariant every read path rests on:
 
-    a vertex without a materialized dict has **all** of its incident
-    edges exactly as the backing snapshot recorded them,
+    the snapshot with the pending buffer folded in holds **every** node
+    and edge; a materialized per-vertex dict is only a read cache of it.
 
-because every mutation first hydrates the vertices it touches.  Reads on
-unmaterialized vertices (``get_click``, degrees, totals, ``edges()``)
-are served straight from the snapshot's CSR/CSC slices; ``user_neighbors``
-/ ``item_neighbors`` hydrate the one vertex they're asked about.  Node
-*removal* — which would otherwise need per-vertex tombstones — flattens
-the whole backing first (:meth:`_materialize`), after which the graph is
-an ordinary eager dict graph.  Hydration and materialization are pure
-cache moves: they never bump :attr:`version` and never change any
-observable value, which the lazy-vs-eager equivalence suite pins under
-random operation interleavings.
+Appends (:meth:`add_clicks`, :meth:`add_click`, :meth:`set_click`
+increases, :meth:`add_user`/:meth:`add_item`) are validated, join the
+pending buffer in call order and bump :attr:`version`; they touch no
+adjacency dict.  Every read folds the buffer first, with one vectorized
+:meth:`~repro.graph.indexed.IndexedGraph.apply_delta` merge that also
+refreshes the cached dicts of the vertices it touched, so no read ever
+observes a pending record.  Destructive writes (removals, click
+decreases) fold and then flatten the snapshot into complete dict
+adjacency (:meth:`_materialize`), after which the graph is an ordinary
+eager dict graph.  Folding, hydration and materialization are pure cache
+moves: they never bump :attr:`version` and never change any observable
+value or iteration order (each vertex iterates its edges in the order
+they were first recorded, as a dict graph does), which the
+lazy-vs-eager equivalence suite pins under random operation
+interleavings.
+
+An eager graph keeps the same buffer for its memoized snapshot: appends
+update the dicts and buffer the same records, and the next
+:meth:`indexed` call folds them instead of rebuilding.  In both modes a
+buffer longer than the snapshot's edge count folds at once, so the
+buffer never outgrows the graph it extends.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from itertools import chain
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .. import obs
 from ..errors import DuplicateNodeError, NodeNotFoundError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .indexed import IndexedGraph
+from .indexed import IDLE, IndexedGraph, record_columns
 
 __all__ = ["BipartiteGraph"]
 
 Node = Hashable
+
+
+def _dict_adjacency(snapshot: IndexedGraph) -> "tuple[dict, dict]":
+    """Complete ``(users, items)`` dict adjacency of ``snapshot``.
+
+    Nodes in array order, each vertex's edges in the order first recorded
+    — exactly the dicts an eager graph fed the same clicks holds.
+    """
+    users, items = snapshot.users, snapshot.items
+    users_map: dict[Node, dict[Node, int]] = {user: {} for user in users}
+    items_map: dict[Node, dict[Node, int]] = {item: {} for item in items}
+    rows, columns, weights = snapshot.recorded_edges()
+    for row, column, weight in zip(rows.tolist(), columns.tolist(), weights.tolist()):
+        user, item = users[row], items[column]
+        users_map[user][item] = weight
+        items_map[item][user] = weight
+    return users_map, items_map
 
 
 class BipartiteGraph:
@@ -72,201 +100,65 @@ class BipartiteGraph:
         "_users",
         "_items",
         "_total_clicks",
+        "_num_edges",
         "_version",
         "_indexed",
-        "_delta",
+        "_pending",
+        "_pending_len",
         "_lazy",
-        "_lazy_extra_users",
-        "_lazy_extra_items",
-        "_lazy_extra_edges",
         "__weakref__",
     )
-
-    #: Delta-buffer backstop: past this many buffered append events the
-    #: graph falls back to plain invalidation (full rebuild on next
-    #: :meth:`indexed` call) so an unbounded append burst with no snapshot
-    #: reader cannot grow the buffer without limit.
-    _DELTA_LIMIT = 100_000
 
     def __init__(self) -> None:
         self._users: dict[Node, dict[Node, int]] = {}
         self._items: dict[Node, dict[Node, int]] = {}
         self._total_clicks: int = 0
+        #: Edge count of the dict adjacency (a lazy graph reads its snapshot's).
+        self._num_edges: int = 0
         self._version: int = 0
+        #: The memoized array snapshot; in lazy mode, the backing truth.
         self._indexed: "IndexedGraph | None" = None
-        self._delta: list | None = None
-        #: Frozen backing snapshot while in lazy mode; ``None`` means the
-        #: dict adjacency is the complete truth (eager mode).
-        self._lazy: "IndexedGraph | None" = None
-        #: Net node/edge counts added on top of the backing snapshot, so
-        #: ``num_users``/``num_edges`` stay O(1) without scanning dicts.
-        self._lazy_extra_users: int = 0
-        self._lazy_extra_items: int = 0
-        self._lazy_extra_edges: int = 0
+        #: ``(users, items, clicks)`` record columns appended since
+        #: ``_indexed`` was taken, and their total record count.
+        self._pending: list[tuple[list, list, list]] = []
+        self._pending_len: int = 0
+        #: Whether ``_indexed`` plus ``_pending`` is the truth and the
+        #: dicts only a per-vertex read cache (see the module docstring).
+        self._lazy: bool = False
 
     @classmethod
     def from_indexed(
-        cls, snapshot: "IndexedGraph", lazy: bool = True
+        cls, snapshot: IndexedGraph, lazy: bool = True
     ) -> "BipartiteGraph":
-        """Rebuild a mutable graph around a frozen snapshot (warm start).
+        """Rebuild a mutable graph around a frozen snapshot.
 
         The inverse of :meth:`indexed`: the mutation version is pinned to
         ``snapshot.version`` and the snapshot itself is installed as the
-        memoized array view — so the first :meth:`indexed` call after a
-        store load is a cache *hit* (no ``graph.indexed.misses``), keeping
-        every version-keyed consumer cache (thresholds, fixpoint memos)
-        attachable to the restored state.
+        memoized array view — so the first :meth:`indexed` call is a cache
+        *hit* (no ``graph.indexed.misses``), keeping every version-keyed
+        consumer cache (thresholds, fixpoint memos) attachable to the
+        restored state.
 
         With ``lazy=True`` (the default) this returns in O(1): the
-        snapshot arrays become the backing truth and per-vertex dict
-        adjacency materializes copy-on-write as vertices are read through
-        the dict API or written (see the module docstring for the
-        invariant).  ``lazy=False`` fills both adjacency maps eagerly from
-        the edge arrays — the historical behavior, and the twin the
-        equivalence suite compares against.
+        snapshot becomes the backing truth, appends buffer against it and
+        per-vertex dict adjacency materializes only as a read cache (see
+        the module docstring).  ``lazy=False`` fills both adjacency maps
+        eagerly from the edge arrays — the twin the equivalence suite
+        compares against.
         """
         graph = cls()
         graph._version = snapshot.version
         graph._indexed = snapshot
+        graph._total_clicks = snapshot.total_clicks
         if lazy:
-            graph._lazy = snapshot
-            graph._total_clicks = snapshot.total_clicks
-            return graph
-        graph._users = {user: {} for user in snapshot.users}
-        graph._items = {item: {} for item in snapshot.items}
-        users, items = snapshot.users, snapshot.items
-        total = 0
-        for row, column, weight in zip(
-            snapshot.user_idx.tolist(),
-            snapshot.item_idx.tolist(),
-            snapshot.clicks.tolist(),
-        ):
-            user, item = users[row], items[column]
-            graph._users[user][item] = weight
-            graph._items[item][user] = weight
-            total += weight
-        graph._total_clicks = total
+            graph._lazy = True
+        else:
+            graph._users, graph._items = _dict_adjacency(snapshot)
+            graph._num_edges = snapshot.num_edges
         return graph
 
     # ------------------------------------------------------------------
-    # Lazy backing: hydration and materialization
-    # ------------------------------------------------------------------
-    def _hydrate_user(self, user: Node, row: int) -> dict[Node, int]:
-        """Materialize one user's adjacency dict from the backing arrays."""
-        snapshot = self._lazy
-        columns, weights = snapshot.row_slice(row)
-        items = snapshot.items
-        adjacency = {
-            items[column]: weight
-            for column, weight in zip(columns.tolist(), weights.tolist())
-        }
-        self._users[user] = adjacency
-        obs.count("graph.lazy.user_hydrations")
-        return adjacency
-
-    def _hydrate_item(self, item: Node, column: int) -> dict[Node, int]:
-        """Materialize one item's adjacency dict from the backing arrays."""
-        snapshot = self._lazy
-        rows, weights = snapshot.column_slice(column)
-        users = snapshot.users
-        adjacency = {
-            users[row]: weight for row, weight in zip(rows.tolist(), weights.tolist())
-        }
-        self._items[item] = adjacency
-        obs.count("graph.lazy.item_hydrations")
-        return adjacency
-
-    def _adj_user(self, user: Node) -> dict[Node, int]:
-        """The materialized adjacency dict for ``user``, creating it if new.
-
-        Every write path funnels through here (and :meth:`_adj_item`), so
-        any edge whose weight diverges from the backing snapshot has both
-        endpoints materialized — the invariant that keeps CSR/CSC reads
-        on unmaterialized vertices exact.
-        """
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return adjacency
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                return self._hydrate_user(user, row)
-            self._lazy_extra_users += 1
-        adjacency = self._users[user] = {}
-        return adjacency
-
-    def _adj_item(self, item: Node) -> dict[Node, int]:
-        """The materialized adjacency dict for ``item``, creating it if new."""
-        adjacency = self._items.get(item)
-        if adjacency is not None:
-            return adjacency
-        if self._lazy is not None:
-            column = self._lazy.item_index.get(item)
-            if column is not None:
-                return self._hydrate_item(item, column)
-            self._lazy_extra_items += 1
-        adjacency = self._items[item] = {}
-        return adjacency
-
-    def _materialize(self) -> None:
-        """Flatten the lazy backing into complete dict adjacency.
-
-        A pure cache move — no observable value changes, the version does
-        not bump — that re-establishes eager mode.  Node removal calls
-        this (per-vertex tombstones would tax every subsequent read);
-        pickling and equality comparison call it for simplicity.  Dict
-        iteration order is rebuilt canonically: snapshot nodes in array
-        order first, then nodes appended after the warm start in their
-        insertion order — exactly the order an eagerly-built twin has.
-        """
-        snapshot = self._lazy
-        if snapshot is None:
-            return
-        obs.count("graph.lazy.materializations")
-        users_map: dict[Node, dict[Node, int]] = {}
-        items_map: dict[Node, dict[Node, int]] = {}
-        appended_users = self._users
-        appended_items = self._items
-        hydrated_users: set[Node] = set()
-        hydrated_items: set[Node] = set()
-        for user in snapshot.users:
-            adjacency = appended_users.pop(user, None)
-            if adjacency is None:
-                adjacency = {}
-            else:
-                hydrated_users.add(user)
-            users_map[user] = adjacency
-        for item in snapshot.items:
-            adjacency = appended_items.pop(item, None)
-            if adjacency is None:
-                adjacency = {}
-            else:
-                hydrated_items.add(item)
-            items_map[item] = adjacency
-        users_list, items_list = snapshot.users, snapshot.items
-        for row, column, weight in zip(
-            snapshot.user_idx.tolist(),
-            snapshot.item_idx.tolist(),
-            snapshot.clicks.tolist(),
-        ):
-            user, item = users_list[row], items_list[column]
-            # Hydrated dicts are already the truth for their vertex (they
-            # may carry newer weights and edges); only fill the rest.
-            if user not in hydrated_users:
-                users_map[user][item] = weight
-            if item not in hydrated_items:
-                items_map[item][user] = weight
-        users_map.update(appended_users)
-        items_map.update(appended_items)
-        self._users = users_map
-        self._items = items_map
-        self._lazy = None
-        self._lazy_extra_users = 0
-        self._lazy_extra_items = 0
-        self._lazy_extra_edges = 0
-
-    # ------------------------------------------------------------------
-    # Snapshot bookkeeping
+    # Snapshot, pending buffer and hydration
     # ------------------------------------------------------------------
     @property
     def version(self) -> int:
@@ -274,109 +166,169 @@ class BipartiteGraph:
 
         Consumers holding derived data (the :meth:`indexed` snapshot, the
         detector's threshold cache) compare versions instead of graphs to
-        decide whether their view is still current.
+        decide whether their view is still current.  Each appended click
+        record counts once, whether buffered or written to dicts.
         """
         return self._version
 
     def _mutated(self) -> None:
-        """Record a destructive change, invalidating memoized snapshots."""
+        """Record a destructive change, dropping the memoized snapshot."""
         self._version += 1
         self._indexed = None
-        self._delta = None
+        self._pending = []
+        self._pending_len = 0
 
-    def _appended(self, *events) -> None:
-        """Record one append-only mutation (new nodes / edges, increments).
+    def _record(self, users: list, items: list, clicks: list) -> None:
+        """Count appended records in :attr:`version` and buffer them.
 
-        Unlike :meth:`_mutated` this keeps the memoized snapshot alive and
-        buffers the events, so the next :meth:`indexed` call merges them
-        incrementally instead of re-snapshotting from scratch.  Recording
-        only starts once a snapshot exists — with nothing to maintain, the
-        buffer stays empty and the first access builds as usual.
+        Recording only starts once a snapshot exists — with nothing to
+        maintain, an eager graph's first :meth:`indexed` call builds as
+        usual.  A buffer longer than the snapshot's edge count folds now.
         """
-        self._version += 1
+        self._version += len(users)
         if self._indexed is None:
             return
-        if self._delta is None:
-            self._delta = []
-        self._delta.extend(events)
-        if len(self._delta) > self._DELTA_LIMIT:
-            self._indexed = None
-            self._delta = None
+        self._pending.append((users, items, clicks))
+        self._pending_len += len(users)
+        if self._pending_len > self._indexed.num_edges:
+            self._fold()
 
-    def indexed(self) -> "IndexedGraph":
+    def _fold(self) -> IndexedGraph:
+        """Merge the pending buffer into the snapshot (a pure cache move)."""
+        snapshot = self._indexed
+        if not self._pending:
+            return snapshot
+        users, items, clicks = (list(chain.from_iterable(column)) for column in zip(*self._pending))
+        self._pending = []
+        self._pending_len = 0
+        obs.count("graph.indexed.delta_builds")
+        with obs.span("indexed_delta"):
+            snapshot = snapshot.apply_delta(users, items, clicks, self._version)
+        self._indexed = snapshot
+        if self._lazy:
+            # Cached dicts of touched vertices are refreshed in place, so
+            # views handed out earlier stay live, as on a dict graph.
+            for user in self._users.keys() & set(users) if self._users else ():
+                self._hydrate_user(user, snapshot.user_index[user])
+            for item in self._items.keys() & set(items) if self._items else ():
+                self._hydrate_item(item, snapshot.item_index[item])
+        return snapshot
+
+    def _view(self) -> "IndexedGraph | None":
+        """A lazy graph's folded snapshot; ``None`` for an eager graph."""
+        return self._fold() if self._lazy else None
+
+    def _hydrate_user(self, user: Node, row: int) -> dict[Node, int]:
+        """(Re)fill one user's cached adjacency dict from the snapshot."""
+        snapshot = self._indexed
+        columns, weights = snapshot.recorded_row(row)
+        adjacency = self._users.setdefault(user, {})
+        adjacency.clear()
+        adjacency.update(zip(map(snapshot.items.__getitem__, columns.tolist()), weights.tolist()))
+        obs.count("graph.lazy.user_hydrations")
+        return adjacency
+
+    def _hydrate_item(self, item: Node, column: int) -> dict[Node, int]:
+        """(Re)fill one item's cached adjacency dict from the snapshot."""
+        snapshot = self._indexed
+        rows, weights = snapshot.recorded_column(column)
+        adjacency = self._items.setdefault(item, {})
+        adjacency.clear()
+        adjacency.update(zip(map(snapshot.users.__getitem__, rows.tolist()), weights.tolist()))
+        obs.count("graph.lazy.item_hydrations")
+        return adjacency
+
+    def _materialize(self) -> None:
+        """Flatten the lazy backing into complete dict adjacency.
+
+        A pure cache move — no observable value changes, the version does
+        not bump — that re-establishes eager mode; the folded snapshot
+        stays memoized.  Destructive writes call this (per-vertex
+        tombstones would tax every subsequent read).
+        """
+        if not self._lazy:
+            return
+        obs.count("graph.lazy.materializations")
+        snapshot = self._fold()
+        users_map, items_map = _dict_adjacency(snapshot)
+        # Cached dicts are exact; keep their objects so views stay live.
+        users_map.update(self._users)
+        items_map.update(self._items)
+        self._users, self._items = users_map, items_map
+        self._num_edges = snapshot.num_edges
+        self._lazy = False
+
+    def _adjacency(self) -> "tuple[dict, dict]":
+        """Complete ``(users, items)`` dict adjacency, without materializing."""
+        snapshot = self._view()
+        if snapshot is None:
+            return self._users, self._items
+        return _dict_adjacency(snapshot)
+
+    def indexed(self) -> IndexedGraph:
         """The memoized :class:`~repro.graph.indexed.IndexedGraph` snapshot.
 
         The snapshot is built on first access and reused until the graph
-        mutates.  Append-only mutation (new nodes, new edges, click
-        increments) is *maintained incrementally*: the buffered events are
-        merged into the previous snapshot with numpy array merges —
-        counted as a cache hit plus ``graph.indexed.delta_builds``, never
-        as a from-scratch miss — so append-mostly workloads (stream
-        ingestion, incremental rechecks) keep their array views warm.
-        Destructive mutation (removals, click decreases) still invalidates
-        and rebuilds.
+        mutates.  Appends (new nodes, new edges, click increments) are
+        *maintained incrementally*: the buffered records are merged into
+        the previous snapshot by one vectorized merge — counted as a cache
+        hit plus ``graph.indexed.delta_builds``, never as a from-scratch
+        miss — so append-mostly workloads (stream ingestion, rechecks)
+        keep their array views warm.  Destructive mutation (removals,
+        click decreases) still invalidates and rebuilds.
         """
-        from .indexed import IndexedGraph
-
-        snapshot = self._indexed
-        if snapshot is not None and snapshot.version == self._version:
+        if self._indexed is not None:
             obs.count("graph.indexed.hits")
-            return snapshot
-        if snapshot is not None and self._delta is not None:
-            obs.count("graph.indexed.hits")
-            obs.count("graph.indexed.delta_builds")
-            with obs.span("indexed_delta"):
-                snapshot = snapshot.apply_delta(self._delta, self._version)
-            self._indexed = snapshot
-            self._delta = None
-            return snapshot
+            return self._fold()
         obs.count("graph.indexed.misses")
         with obs.span("indexed_build"):
             snapshot = IndexedGraph.from_graph(self)
         self._indexed = snapshot
-        self._delta = None
         return snapshot
 
     # ------------------------------------------------------------------
     # Node management
     # ------------------------------------------------------------------
+    def _register(self, user: Node = IDLE, item: Node = IDLE) -> None:
+        """Add one idle node (the caller checked it is absent)."""
+        if not self._lazy:
+            if user is not IDLE:
+                self._users[user] = {}
+            else:
+                self._items[item] = {}
+        self._record([user], [item], [0])
+
     def add_user(self, user: Node) -> None:
         """Register ``user`` with no edges.  No-op if already present."""
         if not self.has_user(user):
-            self._adj_user(user)
-            self._appended(("user", user))
+            self._register(user=user)
 
     def add_item(self, item: Node) -> None:
         """Register ``item`` with no edges.  No-op if already present."""
         if not self.has_item(item):
-            self._adj_item(item)
-            self._appended(("item", item))
+            self._register(item=item)
 
     def add_user_strict(self, user: Node) -> None:
         """Register ``user``; raise :class:`DuplicateNodeError` if present."""
         if self.has_user(user):
             raise DuplicateNodeError(user, "user")
-        self._adj_user(user)
-        self._appended(("user", user))
+        self._register(user=user)
 
     def add_item_strict(self, item: Node) -> None:
         """Register ``item``; raise :class:`DuplicateNodeError` if present."""
         if self.has_item(item):
             raise DuplicateNodeError(item, "item")
-        self._adj_item(item)
-        self._appended(("item", item))
+        self._register(item=item)
 
     def has_user(self, user: Node) -> bool:
         """Whether ``user`` is in the user partition."""
-        if user in self._users:
-            return True
-        return self._lazy is not None and user in self._lazy.user_index
+        snapshot = self._view()
+        return user in (self._users if snapshot is None else snapshot.user_index)
 
     def has_item(self, item: Node) -> bool:
         """Whether ``item`` is in the item partition."""
-        if item in self._items:
-            return True
-        return self._lazy is not None and item in self._lazy.item_index
+        snapshot = self._view()
+        return item in (self._items if snapshot is None else snapshot.item_index)
 
     def remove_user(self, user: Node) -> None:
         """Delete ``user`` and all its incident edges."""
@@ -387,6 +339,7 @@ class BipartiteGraph:
         for item, clicks in adjacency.items():
             del self._items[item][user]
             self._total_clicks -= clicks
+        self._num_edges -= len(adjacency)
         self._mutated()
 
     def remove_item(self, item: Node) -> None:
@@ -398,6 +351,7 @@ class BipartiteGraph:
         for user, clicks in adjacency.items():
             del self._users[user][item]
             self._total_clicks -= clicks
+        self._num_edges -= len(adjacency)
         self._mutated()
 
     # ------------------------------------------------------------------
@@ -410,22 +364,45 @@ class BipartiteGraph:
         """
         if clicks <= 0:
             raise ValueError(f"clicks must be positive, got {clicks}")
-        events = []
-        if not self.has_user(user):
-            events.append(("user", user))
-        if not self.has_item(item):
-            events.append(("item", item))
-        user_adj = self._adj_user(user)
-        item_adj = self._adj_item(item)
-        previous = user_adj.get(item, 0)
-        new_count = previous + clicks
-        user_adj[item] = new_count
-        item_adj[user] = new_count
+        if not self._lazy:
+            self._write(user, item, clicks)
         self._total_clicks += clicks
-        if previous == 0 and self._lazy is not None:
-            self._lazy_extra_edges += 1
-        events.append(("edge", user, item, clicks, previous == 0))
-        self._appended(*events)
+        self._record([user], [item], [clicks])
+
+    def add_clicks(self, records: Iterable[tuple[Node, Node, int]]) -> None:
+        """Record a batch of ``(user, item, clicks)`` click records.
+
+        The same as :meth:`add_click` per record in order, but validated up
+        front: a batch holding a non-positive count raises before any
+        record lands.  A lazy graph only appends the batch to its pending
+        buffer; an eager one updates its dicts in one pass and buffers the
+        same records for its memoized snapshot.  :attr:`version` advances
+        by the number of records.
+        """
+        users, items, clicks = record_columns(records)
+        if not users:
+            return
+        lowest = min(clicks)
+        if lowest <= 0:
+            raise ValueError(f"clicks must be positive, got {lowest}")
+        if not self._lazy:
+            for user, item, count in zip(users, items, clicks):
+                self._write(user, item, count)
+        self._total_clicks += sum(clicks)
+        self._record(users, items, clicks)
+
+    def _write(self, user: Node, item: Node, clicks: int) -> None:
+        """Add ``clicks`` to one edge of the dict adjacency (eager mode)."""
+        user_adj = self._users.get(user)
+        if user_adj is None:
+            user_adj = self._users[user] = {}
+        item_adj = self._items.get(item)
+        if item_adj is None:
+            item_adj = self._items[item] = {}
+        previous = user_adj.get(item, 0)
+        if not previous:
+            self._num_edges += 1
+        user_adj[item] = item_adj[user] = previous + clicks
 
     def set_click(self, user: Node, item: Node, clicks: int) -> None:
         """Set the edge weight exactly; ``clicks = 0`` deletes the edge.
@@ -436,9 +413,9 @@ class BipartiteGraph:
         and fixpoint memos keyed to it stay valid.  Consequently a
         zero-weight set never creates endpoints — deleting a non-existent
         edge is nothing happening, not a node registration; use
-        :meth:`add_user`/:meth:`add_item` to register idle nodes.  A
-        *positive* set on a missing edge creates the endpoints, exactly
-        like :meth:`add_click`.
+        :meth:`add_user`/:meth:`add_item` to register idle nodes.  An
+        increase is an append of the difference, exactly like
+        :meth:`add_click`; a decrease is destructive.
         """
         if clicks < 0:
             raise ValueError(f"clicks must be >= 0, got {clicks}")
@@ -447,35 +424,20 @@ class BipartiteGraph:
             # No-op write: nothing changed, so memoized snapshots and
             # every version-keyed consumer cache stay valid.
             return
-        if clicks == 0:
-            # current > 0 here, so both endpoints exist; hydrate them and
-            # drop the edge from both mirrors.
-            del self._adj_user(user)[item]
-            del self._adj_item(item)[user]
-            self._total_clicks -= current
-            if self._lazy is not None:
-                self._lazy_extra_edges -= 1
-            self._mutated()
-            return
-        events = []
-        if not self.has_user(user):
-            events.append(("user", user))
-        if not self.has_item(item):
-            events.append(("item", item))
-        user_adj = self._adj_user(user)
-        item_adj = self._adj_item(item)
-        user_adj[item] = clicks
-        item_adj[user] = clicks
-        self._total_clicks += clicks - current
-        if current == 0 and self._lazy is not None:
-            self._lazy_extra_edges += 1
         if clicks > current:
-            events.append(("edge", user, item, clicks - current, current == 0))
-            self._appended(*events)
+            self.add_click(user, item, clicks - current)
+            return
+        # current > 0 here, so both endpoints exist.
+        self._materialize()
+        user_adj, item_adj = self._users[user], self._items[item]
+        if clicks:
+            user_adj[item] = item_adj[user] = clicks
         else:
-            # Weight decrease is destructive for the array snapshot's
-            # append-only delta; fall back to full invalidation.
-            self._mutated()
+            del user_adj[item]
+            del item_adj[user]
+            self._num_edges -= 1
+        self._total_clicks += clicks - current
+        self._mutated()
 
     def remove_edge(self, user: Node, item: Node) -> None:
         """Delete the edge between ``user`` and ``item`` if present."""
@@ -483,29 +445,21 @@ class BipartiteGraph:
 
     def has_edge(self, user: Node, item: Node) -> bool:
         """Whether ``user`` has clicked ``item`` at least once."""
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return item in adjacency
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                column = self._lazy.item_index.get(item)
-                return column is not None and self._lazy.edge_weight(row, column) > 0
-        return False
+        return self.get_click(user, item) > 0
 
     def get_click(self, user: Node, item: Node, default: int = 0) -> int:
         """Click count on edge ``(user, item)``, or ``default`` if absent."""
+        snapshot = self._view()
         adjacency = self._users.get(user)
         if adjacency is not None:
             return adjacency.get(item, default)
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                column = self._lazy.item_index.get(item)
-                if column is not None:
-                    weight = self._lazy.edge_weight(row, column)
-                    if weight:
-                        return weight
+        if snapshot is not None:
+            row = snapshot.user_index.get(user)
+            column = snapshot.item_index.get(item)
+            if row is not None and column is not None:
+                weight = snapshot.edge_weight(row, column)
+                if weight:
+                    return weight
         return default
 
     # ------------------------------------------------------------------
@@ -513,50 +467,33 @@ class BipartiteGraph:
     # ------------------------------------------------------------------
     def users(self) -> Iterator[Node]:
         """Iterate over user ids."""
-        if self._lazy is None:
-            return iter(self._users)
-        return self._iter_lazy_nodes(self._lazy.users, self._lazy.user_index, self._users)
+        snapshot = self._view()
+        return iter(self._users if snapshot is None else snapshot.users)
 
     def items(self) -> Iterator[Node]:
         """Iterate over item ids."""
-        if self._lazy is None:
-            return iter(self._items)
-        return self._iter_lazy_nodes(self._lazy.items, self._lazy.item_index, self._items)
-
-    @staticmethod
-    def _iter_lazy_nodes(base: list, index: dict, materialized: dict) -> Iterator[Node]:
-        """Snapshot nodes in array order, then appended nodes in insertion
-        order — the same order an eagerly-built twin iterates."""
-        yield from base
-        # Materialize the appended-node list up front: hydration during
-        # consumption grows the dict, which must not invalidate a pure
-        # read iterator.
-        appended = [node for node in materialized if node not in index]
-        yield from appended
+        snapshot = self._view()
+        return iter(self._items if snapshot is None else snapshot.items)
 
     def edges(self) -> Iterator[tuple[Node, Node, int]]:
         """Iterate over ``(user, item, clicks)`` triples."""
-        if self._lazy is None:
+        snapshot = self._view()
+        if snapshot is None:
             for user, adjacency in self._users.items():
                 for item, clicks in adjacency.items():
                     yield user, item, clicks
             return
-        snapshot = self._lazy
-        items = snapshot.items
+        indptr = snapshot.csr_arrays()[0].tolist()
+        _, columns, weights = snapshot.recorded_edges(by_user=True)
+        columns, weights, items = columns.tolist(), weights.tolist(), snapshot.items
         for row, user in enumerate(snapshot.users):
             adjacency = self._users.get(user)
             if adjacency is not None:
                 for item, clicks in adjacency.items():
                     yield user, item, clicks
-            else:
-                columns, weights = snapshot.row_slice(row)
-                for column, weight in zip(columns.tolist(), weights.tolist()):
-                    yield user, items[column], weight
-        index = snapshot.user_index
-        appended = [user for user in self._users if user not in index]
-        for user in appended:
-            for item, clicks in self._users[user].items():
-                yield user, item, clicks
+                continue
+            for position in range(indptr[row], indptr[row + 1]):
+                yield user, items[columns[position]], weights[position]
 
     def user_neighbors(self, user: Node) -> Mapping[Node, int]:
         """Read-only view of ``{item: clicks}`` for ``user``.
@@ -565,94 +502,95 @@ class BipartiteGraph:
         vertex (copy-on-read) so repeated neighbourhood scans pay the
         array→dict conversion once.
         """
+        snapshot = self._view()
         adjacency = self._users.get(user)
         if adjacency is not None:
             return adjacency
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
+        if snapshot is not None:
+            row = snapshot.user_index.get(user)
             if row is not None:
                 return self._hydrate_user(user, row)
         raise NodeNotFoundError(user, "user")
 
     def item_neighbors(self, item: Node) -> Mapping[Node, int]:
         """Read-only view of ``{user: clicks}`` for ``item``."""
+        snapshot = self._view()
         adjacency = self._items.get(item)
         if adjacency is not None:
             return adjacency
-        if self._lazy is not None:
-            column = self._lazy.item_index.get(item)
+        if snapshot is not None:
+            column = snapshot.item_index.get(item)
             if column is not None:
                 return self._hydrate_item(item, column)
         raise NodeNotFoundError(item, "item")
 
+    def _user_row(self, user: Node):
+        """``(columns, weights)`` of ``user`` in a lazy graph's snapshot."""
+        row = self._indexed.user_index.get(user)
+        if row is None:
+            raise NodeNotFoundError(user, "user")
+        return self._indexed.row_slice(row)
+
+    def _item_column(self, item: Node):
+        """``(rows, weights)`` of ``item`` in a lazy graph's snapshot."""
+        column = self._indexed.item_index.get(item)
+        if column is None:
+            raise NodeNotFoundError(item, "item")
+        return self._indexed.column_slice(column)
+
+    def _user_adjacency(self, user: Node) -> dict[Node, int]:
+        adjacency = self._users.get(user)
+        if adjacency is None:
+            raise NodeNotFoundError(user, "user")
+        return adjacency
+
+    def _item_adjacency(self, item: Node) -> dict[Node, int]:
+        adjacency = self._items.get(item)
+        if adjacency is None:
+            raise NodeNotFoundError(item, "item")
+        return adjacency
+
     def user_degree(self, user: Node) -> int:
         """Number of distinct items clicked by ``user``."""
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return len(adjacency)
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                columns, _ = self._lazy.row_slice(row)
-                return len(columns)
-        raise NodeNotFoundError(user, "user")
+        if self._view() is None:
+            return len(self._user_adjacency(user))
+        return len(self._user_row(user)[0])
 
     def item_degree(self, item: Node) -> int:
         """Number of distinct users who clicked ``item``."""
-        adjacency = self._items.get(item)
-        if adjacency is not None:
-            return len(adjacency)
-        if self._lazy is not None:
-            column = self._lazy.item_index.get(item)
-            if column is not None:
-                rows, _ = self._lazy.column_slice(column)
-                return len(rows)
-        raise NodeNotFoundError(item, "item")
+        if self._view() is None:
+            return len(self._item_adjacency(item))
+        return len(self._item_column(item)[0])
 
     def user_total_clicks(self, user: Node) -> int:
         """Sum of click counts on all of ``user``'s edges."""
-        adjacency = self._users.get(user)
-        if adjacency is not None:
-            return sum(adjacency.values())
-        if self._lazy is not None:
-            row = self._lazy.user_index.get(user)
-            if row is not None:
-                _, weights = self._lazy.row_slice(row)
-                return int(weights.sum())
-        raise NodeNotFoundError(user, "user")
+        if self._view() is None:
+            return sum(self._user_adjacency(user).values())
+        return int(self._user_row(user)[1].sum())
 
     def item_total_clicks(self, item: Node) -> int:
         """Sum of click counts on all of ``item``'s edges (Table III's *Total_click*)."""
-        adjacency = self._items.get(item)
-        if adjacency is not None:
-            return sum(adjacency.values())
-        if self._lazy is not None:
-            column = self._lazy.item_index.get(item)
-            if column is not None:
-                _, weights = self._lazy.column_slice(column)
-                return int(weights.sum())
-        raise NodeNotFoundError(item, "item")
+        if self._view() is None:
+            return sum(self._item_adjacency(item).values())
+        return int(self._item_column(item)[1].sum())
 
     @property
     def num_users(self) -> int:
         """Number of user nodes."""
-        if self._lazy is not None:
-            return self._lazy.num_users + self._lazy_extra_users
-        return len(self._users)
+        snapshot = self._view()
+        return len(self._users) if snapshot is None else snapshot.num_users
 
     @property
     def num_items(self) -> int:
         """Number of item nodes."""
-        if self._lazy is not None:
-            return self._lazy.num_items + self._lazy_extra_items
-        return len(self._items)
+        snapshot = self._view()
+        return len(self._items) if snapshot is None else snapshot.num_items
 
     @property
     def num_edges(self) -> int:
-        """Number of (user, item) click records — *Edge* in Table I."""
-        if self._lazy is not None:
-            return self._lazy.num_edges + self._lazy_extra_edges
-        return sum(len(adjacency) for adjacency in self._users.values())
+        """Number of (user, item) click records — *Edge* in Table I (O(1))."""
+        snapshot = self._view()
+        return self._num_edges if snapshot is None else snapshot.num_edges
 
     @property
     def total_clicks(self) -> int:
@@ -665,25 +603,20 @@ class BipartiteGraph:
     def copy(self) -> "BipartiteGraph":
         """Deep copy of nodes and edges (node ids are shared, not copied).
 
-        A lazily-backed graph copies lazily: the clone shares the frozen
-        backing snapshot (it is immutable, so sharing is safe), deep-copies
-        only the materialized vertices, and keeps the pinned version plus
-        the memoized array view — so copying a warm graph does not throw
-        its warmth away.  Eager graphs copy exactly as before (fresh
-        version, no memo).
+        A lazily-backed graph copies in O(1): the clone wraps the same
+        frozen (hence shareable) folded snapshot, keeping the pinned
+        version and the memoized array view — so copying a warm graph
+        does not throw its warmth away.  Eager graphs copy their dicts
+        (fresh version, no memo).
         """
+        snapshot = self._view()
+        if snapshot is not None:
+            return BipartiteGraph.from_indexed(snapshot)
         clone = BipartiteGraph()
         clone._users = {user: dict(adj) for user, adj in self._users.items()}
         clone._items = {item: dict(adj) for item, adj in self._items.items()}
         clone._total_clicks = self._total_clicks
-        if self._lazy is not None:
-            clone._lazy = self._lazy
-            clone._lazy_extra_users = self._lazy_extra_users
-            clone._lazy_extra_items = self._lazy_extra_items
-            clone._lazy_extra_edges = self._lazy_extra_edges
-            clone._version = self._version
-            clone._indexed = self._indexed
-            clone._delta = None if self._delta is None else list(self._delta)
+        clone._num_edges = self._num_edges
         return clone
 
     def subgraph(
@@ -726,37 +659,29 @@ class BipartiteGraph:
         Workers of the parallel evaluation harness rebuild (and re-memoize)
         their own :meth:`indexed` snapshot on first use, so shipping the
         numpy arrays with every scenario would only inflate the pickle.
-        A lazily-backed graph materializes first — the pickle must carry
-        the complete adjacency either way, and flattening through the
-        vectorized backing is cheaper than hydrating vertex-by-vertex on
-        the other side.
+        A lazily-backed graph pickles the complete adjacency its snapshot
+        holds (it unpickles eager) and stays lazy itself.
         """
-        self._materialize()
+        users, items = self._adjacency()
         return {
-            "_users": self._users,
-            "_items": self._items,
+            "_users": users,
+            "_items": items,
             "_total_clicks": self._total_clicks,
             "_version": self._version,
         }
 
     def __setstate__(self, state: dict) -> None:
+        self.__init__()
         self._users = state["_users"]
         self._items = state["_items"]
         self._total_clicks = state["_total_clicks"]
         self._version = state.get("_version", 0)
-        self._indexed = None
-        self._delta = None
-        self._lazy = None
-        self._lazy_extra_users = 0
-        self._lazy_extra_items = 0
-        self._lazy_extra_edges = 0
+        self._num_edges = sum(len(adjacency) for adjacency in self._users.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        self._materialize()
-        other._materialize()
-        return self._users == other._users and self._items == other._items
+        return self._adjacency() == other._adjacency()
 
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("BipartiteGraph is mutable and unhashable")

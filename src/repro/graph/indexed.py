@@ -8,8 +8,8 @@ partition, flat edge arrays, and CSR/CSC adjacency.  Rebuilding those from
 the dicts on every call is the hot-path tax this module removes.
 
 :class:`IndexedGraph` interns users and items into contiguous int ids
-(the *base* row/column order is sorted-by-``str``; nodes appended through
-:meth:`apply_delta` take the next free ids), stores the edge list as three
+(the *base* row/column order is sorted-by-``str``; nodes merged in
+through :meth:`apply_delta` take the next free ids), stores the edge list as three
 parallel numpy arrays in **canonical order** — sorted by ``(row, column)``
 with no duplicate pairs — and lazily caches the derived aggregates
 (degrees, total clicks, CSR/CSC index arrays).  Snapshots are *frozen*:
@@ -18,27 +18,67 @@ memoizes the snapshot against the graph's mutation version, so the
 common build-once/detect-many workloads (feedback rounds, suites,
 sweeps, benchmarks) pay the dict→array conversion exactly once.
 
-Append-mostly mutation no longer forces a from-scratch rebuild:
-:meth:`apply_delta` merges a buffered batch of appends (new nodes, new
-edges, click increments) into a fresh snapshot with numpy merge
-operations — O(delta log delta) sorting plus one O(edges) array merge —
-instead of the Python per-edge loop of :meth:`from_graph`.  The merge is
-the delta buffer's periodic compaction: the produced snapshot is again
-canonical, so chains of delta applications never degrade lookups.
+Appends never force a from-scratch rebuild: :meth:`apply_delta` merges
+a batch of ``(user, item, clicks)`` record columns into a fresh snapshot
+in one vectorized step — new ids interned in first-appearance order,
+records coalesced per edge with sort/unique/``reduceat``, existing edges
+patched and new ones inserted at their ``searchsorted`` positions.  The
+produced snapshot is again canonical, so chains of merges never degrade
+lookups.  A merged snapshot also carries :attr:`IndexedGraph.births`, the
+order its edges were first recorded, which is the per-vertex iteration
+order of a dict graph fed the same clicks.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable
+from itertools import repeat
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .bipartite import BipartiteGraph
 
-__all__ = ["IndexedGraph"]
+__all__ = ["IDLE", "IndexedGraph", "record_columns"]
 
 Node = Hashable
+
+#: Placeholder id in a record that only registers its other node (with 0
+#: clicks): the buffered form of ``add_user``/``add_item``.
+IDLE = object()
+
+
+def record_columns(records: Iterable[tuple]) -> "tuple[list, list, list]":
+    """``(users, items, clicks)`` columns of ``(user, item, clicks)`` records."""
+    if not isinstance(records, (list, tuple)):
+        records = list(records)
+    return (
+        [record[0] for record in records],
+        [record[1] for record in records],
+        [record[2] for record in records],
+    )
+
+
+def _intern(index: dict, nodes: list, column) -> "tuple[dict, list, np.ndarray]":
+    """Ids of ``column`` under ``index``, unknown nodes appended in order.
+
+    Returns the index and node list (copies only when nodes are new) and
+    the id array, in which :data:`IDLE` reads -1.  Known nodes cost one
+    lookup each; only the records that missed are looked at again.
+    """
+    ids = np.fromiter(map(index.get, column, repeat(-1)), dtype=np.int64, count=len(column))
+    missed = np.flatnonzero(ids < 0).tolist()
+    if missed:
+        absent = [column[position] for position in missed]
+        new = [node for node in dict.fromkeys(absent) if node is not IDLE]
+        if new:
+            index = dict(index)
+            index.update(zip(new, range(len(nodes), len(nodes) + len(new))))
+            nodes = nodes + new
+            ids[missed] = np.fromiter(
+                map(index.get, absent, repeat(-1)), dtype=np.int64, count=len(absent)
+            )
+    return index, nodes, ids
 
 
 class IndexedGraph:
@@ -57,6 +97,10 @@ class IndexedGraph:
         ``clicks[e]``.  Edges are grouped by user row, columns ascending.
     version:
         The graph mutation version this snapshot was built from.
+    births:
+        ``int64[num_edges]`` rank of each edge in the order it was first
+        recorded, or ``None`` when that order is the canonical one (a
+        one-pass build).  Set by :meth:`apply_delta`.
     """
 
     __slots__ = (
@@ -68,9 +112,10 @@ class IndexedGraph:
         "item_idx",
         "clicks",
         "version",
+        "births",
         "_csr_arrays",
         "_csc_arrays",
-        "_csc_clicks",
+        "_csc_order",
         "_user_degrees",
         "_item_degrees",
         "_user_clicks",
@@ -90,6 +135,7 @@ class IndexedGraph:
         *,
         user_index: "dict[Node, int] | None" = None,
         item_index: "dict[Node, int] | None" = None,
+        births=None,
     ) -> None:
         self.users = users
         self.items = items
@@ -103,9 +149,10 @@ class IndexedGraph:
         self.item_idx = item_idx
         self.clicks = clicks
         self.version = version
+        self.births = births
         self._csr_arrays = None
         self._csc_arrays = None
-        self._csc_clicks = None
+        self._csc_order = None
         self._user_degrees = None
         self._item_degrees = None
         self._user_clicks = None
@@ -211,110 +258,68 @@ class IndexedGraph:
         :meth:`repro.store.DetectionStore.load_snapshot` contract (duck
         typed to avoid an import cycle); ``version=None`` means the store
         head.  The store resolves the nearest persisted base snapshot and
-        replays the delta chain through :meth:`apply_delta`, so the result
+        merges the delta chain in through :meth:`apply_delta`, so the result
         is canonical and byte-identical to a cold build at that version.
         """
         return store.load_snapshot(version)
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (append-mostly mutation)
+    # Incremental maintenance (append-only mutation)
     # ------------------------------------------------------------------
-    def apply_delta(self, events: list, version: int) -> "IndexedGraph":
-        """A new snapshot with a batch of append events merged in.
+    def apply_delta(self, users, items, clicks, version: int) -> "IndexedGraph":
+        """A new snapshot with click records merged in.
 
-        ``events`` is the :class:`~repro.graph.bipartite.BipartiteGraph`
-        delta buffer: ``("user", node)`` / ``("item", node)`` register a
-        new node, ``("edge", user, item, delta_clicks, is_new)`` appends a
-        new edge or increments an existing one.  Events replay in
-        recording order, so an edge may reference a node introduced
-        earlier in the same batch.
+        Record ``k`` adds ``clicks[k]`` to edge ``(users[k], items[k])``,
+        exactly as :meth:`~repro.graph.bipartite.BipartiteGraph.add_click`
+        would in record order: ids the snapshot lacks take the next free
+        rows/columns in first-appearance order, and edges new to the
+        snapshot take the next :attr:`births`.  A record with an
+        :data:`IDLE` side and 0 clicks only registers its other node.
 
         The result is a fresh, canonical, independently cached snapshot —
-        the original is untouched (frozen-snapshot contract), and chained
-        deltas stay O(edges) per application because each merge compacts
-        the buffer back into sorted-unique form.
+        the original is untouched (frozen-snapshot contract).
         """
-        if not events:
-            # Version-only bump (e.g. a set_click that wrote the same
-            # weight): share every immutable part, refresh the version.
-            return IndexedGraph(
-                self.users,
-                self.items,
-                self.user_idx,
-                self.item_idx,
-                self.clicks,
-                version,
-                user_index=self.user_index,
-                item_index=self.item_index,
-            )
-        users = list(self.users)
-        items = list(self.items)
-        user_index = dict(self.user_index)
-        item_index = dict(self.item_index)
-        rows: list[int] = []
-        cols: list[int] = []
-        weights: list[int] = []
-        fresh: list[bool] = []
-        for event in events:
-            kind = event[0]
-            if kind == "user":
-                user_index[event[1]] = len(users)
-                users.append(event[1])
-            elif kind == "item":
-                item_index[event[1]] = len(items)
-                items.append(event[1])
-            elif kind == "edge":
-                _, user, item, delta_clicks, is_new = event
-                rows.append(user_index[user])
-                cols.append(item_index[item])
-                weights.append(delta_clicks)
-                fresh.append(is_new)
-            else:  # pragma: no cover - defensive against future event kinds
-                raise ValueError(f"unknown delta event kind {kind!r}")
-
-        user_idx, item_idx, clicks = self.user_idx, self.item_idx, self.clicks
-        if rows:
-            mult = max(len(items), 1)
-            base_keys = user_idx.astype(np.int64) * mult + item_idx
-            d_rows = np.asarray(rows, dtype=np.int64)
-            d_cols = np.asarray(cols, dtype=np.int64)
-            d_weights = np.asarray(weights, dtype=np.int64)
-            d_fresh = np.asarray(fresh, dtype=bool)
-            d_keys = d_rows * mult + d_cols
-            # Coalesce repeated events on the same edge; the stable sort
-            # keeps recording order inside each group, so the group's
-            # first event decides whether the edge is new to this batch.
-            order = np.argsort(d_keys, kind="stable")
-            group_keys, starts = np.unique(d_keys[order], return_index=True)
-            group_weights = np.add.reduceat(d_weights[order], starts)
-            group_fresh = d_fresh[order][starts]
-
-            patch_keys = group_keys[~group_fresh]
-            if len(patch_keys):
-                positions = np.searchsorted(base_keys, patch_keys)
-                if positions.max(initial=-1) >= len(base_keys) or not np.array_equal(
-                    base_keys[positions], patch_keys
-                ):
-                    raise RuntimeError(
-                        "delta increment references an edge missing from the snapshot"
-                    )
-                clicks = clicks.copy()
-                clicks[positions] += group_weights[~group_fresh]
-            insert_keys = group_keys[group_fresh]
-            if len(insert_keys):
-                positions = np.searchsorted(base_keys, insert_keys)
-                user_idx = np.insert(user_idx, positions, insert_keys // mult)
-                item_idx = np.insert(item_idx, positions, insert_keys % mult)
-                clicks = np.insert(clicks, positions, group_weights[group_fresh])
+        user_index, user_list, rows = _intern(self.user_index, self.users, users)
+        item_index, item_list, columns = _intern(self.item_index, self.items, items)
+        weights = np.fromiter(clicks, dtype=np.int64, count=len(clicks))
+        registered = weights > 0
+        if not registered.all():
+            rows, columns, weights = rows[registered], columns[registered], weights[registered]
+        user_idx, item_idx, merged, births = self.user_idx, self.item_idx, self.clicks, self.births
+        if len(weights):
+            mult = max(len(item_list), 1)
+            keys = rows * mult + columns
+            order = np.argsort(keys, kind="stable")
+            group_keys, starts = np.unique(keys[order], return_index=True)
+            group_clicks = np.add.reduceat(weights[order], starts)
+            base_keys = user_idx * mult + item_idx
+            positions = np.searchsorted(base_keys, group_keys)
+            present = positions < len(base_keys)
+            present[present] = base_keys[positions[present]] == group_keys[present]
+            if present.any():
+                merged = merged.copy()
+                merged[positions[present]] += group_clicks[present]
+            fresh = ~present
+            if fresh.any():
+                at, new_keys = positions[fresh], group_keys[fresh]
+                first_seen = order[starts][fresh]
+                if births is None:
+                    births = np.arange(len(base_keys), dtype=np.int64)
+                born = len(base_keys) + np.argsort(np.argsort(first_seen))
+                user_idx = np.insert(user_idx, at, new_keys // mult)
+                item_idx = np.insert(item_idx, at, new_keys % mult)
+                merged = np.insert(merged, at, group_clicks[fresh])
+                births = np.insert(births, at, born)
         return IndexedGraph(
-            users,
-            items,
+            user_list,
+            item_list,
             user_idx,
             item_idx,
-            clicks,
+            merged,
             version,
             user_index=user_index,
             item_index=item_index,
+            births=births,
         )
 
     # ------------------------------------------------------------------
@@ -423,7 +428,7 @@ class IndexedGraph:
                 out=indptr[1:],
             )
             self._csc_arrays = (indptr, np.asarray(self.user_idx)[order])
-            self._csc_clicks = np.asarray(self.clicks)[order]
+            self._csc_order = order
         return self._csc_arrays
 
     # ------------------------------------------------------------------
@@ -444,13 +449,47 @@ class IndexedGraph:
     def column_slice(self, column: int):
         """``(user_rows, weights)`` for item column ``column``, rows ascending.
 
-        The CSC mirror of :meth:`row_slice`; the weight permutation is
-        cached alongside the CSC index arrays, so per-item hydration after
-        the first call is two array slices.
+        The CSC mirror of :meth:`row_slice`: the edge permutation is cached
+        alongside the CSC index arrays, so per-item reads after the first
+        call are array slices.
         """
         indptr, rows = self.csc_arrays()
         lo, hi = int(indptr[column]), int(indptr[column + 1])
-        return rows[lo:hi], self._csc_clicks[lo:hi]
+        return rows[lo:hi], self.clicks[self._csc_order[lo:hi]]
+
+    def recorded_row(self, row: int):
+        """:meth:`row_slice` with the edges in the order first recorded.
+
+        That is the order a dict graph fed the same clicks iterates the
+        user's adjacency in, and how the lazy mutable graph hydrates it.
+        """
+        columns, weights = self.row_slice(row)
+        if self.births is None:
+            return columns, weights
+        indptr = self.csr_arrays()[0]
+        order = np.argsort(self.births[indptr[row] : indptr[row + 1]])
+        return columns[order], weights[order]
+
+    def recorded_column(self, column: int):
+        """:meth:`column_slice` with the edges in the order first recorded."""
+        rows, weights = self.column_slice(column)
+        if self.births is None:
+            return rows, weights
+        indptr = self.csc_arrays()[0]
+        edges = self._csc_order[indptr[column] : indptr[column + 1]]
+        order = np.argsort(self.births[edges])
+        return rows[order], weights[order]
+
+    def recorded_edges(self, by_user: bool = False):
+        """``(user_idx, item_idx, clicks)`` with the edges in the order first
+        recorded; ``by_user`` groups them by row first (CSR row bounds)."""
+        if self.births is None:
+            return self.user_idx, self.item_idx, self.clicks
+        if by_user:
+            order = np.lexsort((self.births, self.user_idx))
+        else:
+            order = np.argsort(self.births)
+        return self.user_idx[order], self.item_idx[order], self.clicks[order]
 
     def edge_weight(self, row: int, column: int) -> int:
         """Click count on edge ``(row, column)``, or 0 when absent.

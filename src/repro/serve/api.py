@@ -334,7 +334,7 @@ class DetectionAPI:
     def status(self) -> StatusResponse:
         """Service, graph and store vitals."""
         snapshot = self.service.snapshot()
-        graph = self.service.online.graph
+        num_users, num_items, num_edges = self.service.graph_size()
         store = self.service.store
         return StatusResponse(
             level=snapshot.level,
@@ -344,9 +344,9 @@ class DetectionAPI:
             degraded=snapshot.degraded,
             store_version=self.service.store_version,
             store_versions=tuple(store.versions()) if store is not None else (),
-            num_users=graph.num_users,
-            num_items=graph.num_items,
-            num_edges=graph.num_edges,
+            num_users=num_users,
+            num_items=num_items,
+            num_edges=num_edges,
             provenance=snapshot.provenance,
         )
 

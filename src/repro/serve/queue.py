@@ -44,10 +44,6 @@ class ClickEvent:
     clicks: int = 1
     timestamp: float = 0.0
 
-    def record(self) -> tuple[Node, Node, int]:
-        """The ``(user, item, clicks)`` tuple ``ClickBatch`` ingests."""
-        return (self.user, self.item, self.clicks)
-
 
 @dataclass(frozen=True)
 class QueueStats:
@@ -111,11 +107,22 @@ class BoundedEventQueue:
         return shed
 
     def submit_many(self, events: Iterable[ClickEvent]) -> int:
-        """Enqueue every event; returns the total number shed."""
-        total = 0
-        for event in events:
-            total += self.submit(event)
-        return total
+        """Enqueue every event under one lock; returns the total shed.
+
+        The same as :meth:`submit` per event in order: each is admitted,
+        and whatever overflows the capacity is shed oldest-first.
+        """
+        with self._lock:
+            before = len(self._events)
+            self._events.extend(events)
+            self._submitted += len(self._events) - before
+            shed = max(0, len(self._events) - self.capacity)
+            for _ in range(shed):
+                self._events.popleft()
+            self._shed += shed
+        if shed:
+            obs.count("serve.shed_events", shed)
+        return shed
 
     def drain(self, max_events: int | None = None) -> list[ClickEvent]:
         """Remove and return up to ``max_events`` events, FIFO order."""

@@ -245,9 +245,10 @@ class DetectionService:
         ``initial_graph`` (default: an empty graph) and commits version 1
         as a full snapshot before serving.  A *populated* store resumes
         in O(1) graph work: the head snapshot lazily backs the mutable
-        graph (no edge-by-edge rebuild; vertices hydrate as ingest
-        touches them), the persisted result — provenance flags intact —
-        serves immediately, and rechecks keep committing new versions.  Restarting a process on the same store therefore
+        graph (no edge-by-edge rebuild; ingest only appends records to
+        its pending buffer), the persisted result — provenance flags
+        intact — serves immediately, and rechecks keep committing new
+        versions.  Restarting a process on the same store therefore
         serves the same verdicts at the same store version, the contract
         the API round-trip test pins.
         """
@@ -302,7 +303,7 @@ class DetectionService:
         self.queue.submit(ClickEvent(user, item, clicks, stamp))
 
     def submit_events(self, events: Iterable[ClickEvent]) -> None:
-        """Enqueue pre-built events (replay harness path)."""
+        """Enqueue pre-built events under one queue lock (replay harness path)."""
         self.queue.submit_many(events)
 
     # ------------------------------------------------------------------
@@ -328,7 +329,7 @@ class DetectionService:
                 fault = True
             else:
                 self.online.ingest(
-                    ClickBatch.of(event.record() for event in events)
+                    ClickBatch.of([(event.user, event.item, event.clicks) for event in events])
                 )
                 self._applied += len(events)
                 obs.count("serve.ingested", len(events))
@@ -534,6 +535,16 @@ class DetectionService:
                 dirty_region=self.online.dirty_size,
                 recheck_lag=self._last_recheck_lag,
             )
+
+    def graph_size(self) -> tuple[int, int, int]:
+        """``(users, items, edges)`` of the live graph, read under the lock.
+
+        A read folds the graph's pending buffer, so it must not race the
+        pump thread's appends.
+        """
+        with self._lock:
+            graph = self.online.graph
+            return graph.num_users, graph.num_items, graph.num_edges
 
     def _emit_gauges(self, depth: int) -> None:
         obs.gauge("serve.queue_depth", depth)

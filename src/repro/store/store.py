@@ -26,8 +26,9 @@ catalog naming a partial artifact.
 Versions persist either a full *snapshot* (graph memmap directory) or a
 *delta* (the click records appended since the previous version).
 :meth:`DetectionStore.load_snapshot` resolves the nearest base snapshot
-at-or-below the requested version and replays the delta chain forward
-through :meth:`~repro.graph.indexed.IndexedGraph.apply_delta`, so a load
+at-or-below the requested version and merges the delta chain's click
+records forward through :meth:`~repro.graph.indexed.IndexedGraph.apply_delta`
+(the same merge a live graph folds its pending buffer with), so a load
 at version V is canonically identical to a cold build of the same click
 table.  :meth:`DetectionStore.compact` folds the head's delta chain into
 a fresh base snapshot, bounding replay cost without rewriting history.
@@ -46,14 +47,12 @@ import os
 import zlib
 from pathlib import Path
 
-import numpy as np
-
 from .. import obs
 from ..config import RICDParams, ScreeningParams
 from ..core.groups import DetectionResult
 from ..errors import CorruptArtifactError, SchemaVersionError, StoreError
 from ..graph.bipartite import BipartiteGraph
-from ..graph.indexed import IndexedGraph
+from ..graph.indexed import IndexedGraph, record_columns
 from ..graph.io import read_graph_memmap, write_graph_memmap
 from ..resilience.faults import inject
 from .serialization import (
@@ -345,9 +344,8 @@ class DetectionStore:
             snapshot = read_graph_memmap(self.root / self.entry(base)["snapshot"])
             snapshot.version = base
             for delta_version in chain:
-                records = self.load_delta_records(delta_version)
-                events = _records_to_events(snapshot, records)
-                snapshot = snapshot.apply_delta(events, delta_version)
+                columns = record_columns(self.load_delta_records(delta_version))
+                snapshot = snapshot.apply_delta(*columns, delta_version)
         obs.count("store.snapshot_loads")
         self._rehydrate_memos(snapshot, version)
         return snapshot
@@ -358,10 +356,10 @@ class DetectionStore:
         The snapshot is installed as the graph's memoized array view, so
         the first ``indexed()`` call is a hit — no
         ``graph.indexed.misses`` on the warm path.  The rebuild is O(1):
-        the snapshot arrays back the mutable graph lazily, and dict
-        adjacency materializes per vertex only when written (or read
-        through the neighbour API) — a restart does not loop over the
-        edge table.
+        the snapshot arrays back the mutable graph lazily, appends buffer
+        against them, and dict adjacency materializes per vertex only as
+        a read cache of the neighbour API — a restart does not loop over
+        the edge table.
         """
         return BipartiteGraph.from_indexed(self.load_snapshot(version))
 
@@ -534,40 +532,3 @@ class DetectionStore:
 
     def __repr__(self) -> str:
         return f"DetectionStore(root={str(self.root)!r}, head={self.head})"
-
-
-def _records_to_events(snapshot: IndexedGraph, records) -> list:
-    """Convert stored click records into an ``apply_delta`` event batch.
-
-    Mirrors :meth:`BipartiteGraph.add_click` semantics: unknown users and
-    items are registered first, and each edge event carries whether the
-    edge is new *to the base snapshot* — the first event of a coalesced
-    group decides, exactly the contract ``apply_delta`` groups by.
-    """
-    events: list = []
-    new_users: set = set()
-    new_items: set = set()
-    seen_edges: set = set()
-    indptr, cols = snapshot.csr_arrays()
-    for user, item, clicks in records:
-        if user not in snapshot.user_index and user not in new_users:
-            new_users.add(user)
-            events.append(("user", user))
-        if item not in snapshot.item_index and item not in new_items:
-            new_items.add(item)
-            events.append(("item", item))
-        edge = (user, item)
-        if edge in seen_edges:
-            is_new = False  # coalesced away; the group's first event decides
-        else:
-            seen_edges.add(edge)
-            row = snapshot.user_index.get(user)
-            column = snapshot.item_index.get(item)
-            if row is None or column is None:
-                is_new = True
-            else:
-                lo, hi = int(indptr[row]), int(indptr[row + 1])
-                position = int(np.searchsorted(cols[lo:hi], column))
-                is_new = not (position < hi - lo and int(cols[lo + position]) == column)
-        events.append(("edge", user, item, int(clicks), is_new))
-    return events

@@ -216,8 +216,9 @@ class TestSetClickInvalidation:
 
 
 class TestDeltaEventFlags:
-    """The `previous == 0` new-edge flag must hold whenever the edge is
-    new — including when both endpoints already existed."""
+    """Appends buffer plain ``(user, item, clicks)`` record columns; the
+    merge alone decides whether an edge is new — including when both
+    endpoints already existed."""
 
     @staticmethod
     def _snapshots_equal(graph):
@@ -244,23 +245,23 @@ class TestDeltaEventFlags:
 
     def test_add_click_new_edge_existing_endpoints(self, simple_graph):
         pytest.importorskip("numpy")
-        simple_graph.indexed()  # arm the delta buffer
+        simple_graph.indexed()  # arm the pending buffer
         simple_graph.add_click("u1", "i3", 2)  # endpoints exist, edge is new
-        assert simple_graph._delta[-1] == ("edge", "u1", "i3", 2, True)
+        assert simple_graph._pending[-1] == (["u1"], ["i3"], [2])
         self._snapshots_equal(simple_graph)
 
     def test_add_click_existing_edge_is_not_flagged_new(self, simple_graph):
         pytest.importorskip("numpy")
         simple_graph.indexed()
         simple_graph.add_click("u1", "i1", 2)
-        assert simple_graph._delta[-1] == ("edge", "u1", "i1", 2, False)
+        assert simple_graph._pending[-1] == (["u1"], ["i1"], [2])
         self._snapshots_equal(simple_graph)
 
     def test_set_click_increase_on_new_edge_existing_endpoints(self, simple_graph):
         pytest.importorskip("numpy")
         simple_graph.indexed()
         simple_graph.set_click("u2", "i2", 4)  # endpoints exist, edge is new
-        assert simple_graph._delta[-1] == ("edge", "u2", "i2", 4, True)
+        assert simple_graph._pending[-1] == (["u2"], ["i2"], [4])
         self._snapshots_equal(simple_graph)
 
     def test_mixed_delta_burst_matches_rebuild(self, simple_graph):

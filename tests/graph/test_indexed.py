@@ -186,15 +186,21 @@ class TestIncrementalMaintenance:
             )
             assert (keys[1:] > keys[:-1]).all()
 
-    def test_buffer_backstop_falls_back_to_rebuild(self, simple_graph):
-        simple_graph.indexed()
-        original_limit = type(simple_graph)._DELTA_LIMIT
-        try:
-            type(simple_graph)._DELTA_LIMIT = 3
-            for step in range(6):
+    def test_buffer_longer_than_the_snapshot_folds(self, simple_graph):
+        """The pending buffer is bounded by the graph's own size: past the
+        snapshot's edge count it folds — one merge, never a rebuild."""
+        snapshot = simple_graph.indexed()
+        with obs.recording(obs.Recorder()) as recorder:
+            for step in range(snapshot.num_edges):
                 simple_graph.add_click(f"flood{step}", "hot", 1)
-            with obs.recording(obs.Recorder()) as recorder:
-                simple_graph.indexed()
-            assert recorder.counters["graph.indexed.misses"] == 1
-        finally:
-            type(simple_graph)._DELTA_LIMIT = original_limit
+            assert simple_graph._pending_len == snapshot.num_edges
+            assert recorder.counters.get("graph.indexed.delta_builds", 0) == 0
+            simple_graph.add_click("flood-last", "hot", 1)
+            assert simple_graph._pending_len == 0
+            assert recorder.counters["graph.indexed.delta_builds"] == 1
+            maintained = simple_graph.indexed()
+        assert recorder.counters.get("graph.indexed.misses", 0) == 0
+        assert maintained.version == simple_graph.version
+        assert self._snapshot_table(maintained) == self._snapshot_table(
+            IndexedGraph.from_graph(simple_graph)
+        )

@@ -5,9 +5,15 @@
 interleaving of reads and writes — hydration and materialization are
 cache moves, never semantic ones.  Hypothesis drives random operation
 sequences against both graphs simultaneously and compares every return
-value, every raised error, and the full end state (including ``edges()``
-iteration order, which downstream canonicalization relies on).
+value, every raised error, the mutation version after every step, and
+the full end state (including ``edges()`` iteration order, which
+downstream canonicalization relies on).  The lazy graph buffers appends
+as pending click records, so these interleavings also pin that a pending
+buffer is never observable: not in a value, an iteration order or the
+version, not through ``copy()``, ``indexed()`` or a pickle round-trip.
 """
+
+import pickle
 
 import pytest
 
@@ -29,6 +35,15 @@ new_user_ids = st.integers(min_value=90, max_value=93).map(lambda n: f"u{n}")
 new_item_ids = st.integers(min_value=90, max_value=93).map(lambda n: f"i{n}")
 any_user = st.one_of(user_ids, new_user_ids)
 any_item = st.one_of(item_ids, new_item_ids)
+# One add_clicks batch: new ids and increments of snapshot edges mix, and
+# the first record always repeats at the end (an intra-batch repeat).
+click_batches = st.lists(
+    st.tuples(any_user, any_item, st.integers(min_value=1, max_value=5)),
+    min_size=1,
+    max_size=8,
+).map(lambda batch: batch + batch[:1])
+# A 0-click record makes a whole batch invalid: nothing of it may land.
+invalid_batches = click_batches.map(lambda batch: batch + [(batch[0][0], batch[0][1], 0)])
 
 seed_records = st.lists(
     st.tuples(user_ids, item_ids, st.integers(min_value=1, max_value=9)),
@@ -39,6 +54,9 @@ seed_records = st.lists(
 operations = st.lists(
     st.one_of(
         st.tuples(st.just("add_click"), any_user, any_item, st.integers(1, 5)),
+        st.tuples(st.just("add_clicks"), click_batches),
+        st.tuples(st.just("add_clicks"), click_batches),
+        st.tuples(st.just("add_clicks"), invalid_batches),
         st.tuples(st.just("set_click"), any_user, any_item, st.integers(0, 5)),
         st.tuples(st.just("remove_edge"), any_user, any_item),
         st.tuples(st.just("add_user"), any_user),
@@ -61,6 +79,8 @@ operations = st.lists(
         st.tuples(st.just("counts"),),
         st.tuples(st.just("copy"),),
         st.tuples(st.just("subgraph"),),
+        st.tuples(st.just("indexed"),),
+        st.tuples(st.just("pickle"),),
     ),
     max_size=30,
 )
@@ -79,7 +99,7 @@ def apply(graph, op):
     """Run one operation; returns (outcome, payload) for comparison."""
     name, *args = op
     try:
-        if name in ("add_click", "set_click"):
+        if name in ("add_click", "set_click", "add_clicks"):
             getattr(graph, name)(*args)
             return ("ok", None)
         if name in ("remove_edge", "add_user", "add_item", "remove_user", "remove_item"):
@@ -108,9 +128,38 @@ def apply(graph, op):
         if name == "subgraph":
             sub = graph.subgraph(None, None)
             return ("value", (list(sub.edges()), sorted(map(str, sub.users()))))
+        if name == "indexed":
+            snapshot = graph.indexed()
+            return (
+                "value",
+                (
+                    snapshot.users,
+                    snapshot.items,
+                    snapshot.user_idx.tolist(),
+                    snapshot.item_idx.tolist(),
+                    snapshot.clicks.tolist(),
+                    snapshot.version,
+                ),
+            )
+        if name == "pickle":
+            restored = pickle.loads(pickle.dumps(graph))
+            return ("value", state(restored) + (restored.version,))
         return ("value", getattr(graph, name)(*args))
     except NodeNotFoundError as error:
         return ("not_found", (error.args[0] if error.args else None,))
+    except ValueError as error:
+        return ("invalid", str(error))
+
+
+def state(graph):
+    """Everything observable about a graph's contents, in iteration order."""
+    return (
+        list(graph.users()),
+        list(graph.items()),
+        list(graph.edges()),
+        graph.total_clicks,
+        graph.num_edges,
+    )
 
 
 @given(seed_records, operations)
@@ -119,6 +168,7 @@ def test_lazy_equals_eager_under_interleavings(rows, ops):
     lazy, eager = make_twins(rows)
     for op in ops:
         assert apply(lazy, op) == apply(eager, op), op
+        assert lazy.version == eager.version, op
     # End state: identical adjacency (== materializes the lazy side),
     # identical canonical iteration order, identical aggregates.
     assert list(lazy.edges()) == list(eager.edges())
@@ -142,6 +192,22 @@ def test_lazy_indexed_snapshot_matches_eager(rows, ops):
     assert np.array_equal(a.user_idx, b.user_idx)
     assert np.array_equal(a.item_idx, b.item_idx)
     assert np.array_equal(a.clicks, b.clicks)
+
+
+@given(seed_records, operations)
+@settings(max_examples=60, deadline=None)
+def test_folding_early_is_unobservable(rows, ops):
+    """A lazy graph folded after every step equals one that folds only
+    when a read needs it: values, iteration orders and versions."""
+    snapshot = from_click_records(rows).indexed()
+    folded = BipartiteGraph.from_indexed(snapshot)
+    pending = BipartiteGraph.from_indexed(snapshot)
+    for op in ops:
+        assert apply(folded, op) == apply(pending, op), op
+        folded.indexed()
+        assert folded._pending_len == 0
+        assert folded.version == pending.version, op
+    assert state(folded) == state(pending)
 
 
 @given(seed_records)
@@ -201,8 +267,6 @@ def test_hydration_is_not_a_mutation(rows):
 @given(seed_records)
 @settings(max_examples=40, deadline=None)
 def test_pickle_roundtrip_matches_eager(rows):
-    import pickle
-
     snapshot = from_click_records(rows).indexed()
     lazy = BipartiteGraph.from_indexed(snapshot, lazy=True)
     eager = BipartiteGraph.from_indexed(snapshot, lazy=False)

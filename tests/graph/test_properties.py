@@ -1,5 +1,7 @@
 """Property-based tests of the BipartiteGraph invariants (hypothesis)."""
 
+import pickle
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,3 +89,48 @@ def test_subgraph_is_subset(rows):
     for user, item, clicks in sub.edges():
         assert graph.get_click(user, item) == clicks
     assert set(sub.users()) == keep_users
+
+
+# Edge writes over the same small universe; clicks 0 deletes via set_click.
+edge_writes = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_click"), records.map(lambda rows: rows[:1])),
+        st.tuples(st.just("add_clicks"), records),
+        st.tuples(
+            st.just("set_click"),
+            st.integers(0, 8).map(lambda n: f"u{n}"),
+            st.integers(0, 8).map(lambda n: f"i{n}"),
+            st.integers(0, 5),
+        ),
+        st.tuples(st.just("remove_user"), st.integers(0, 8).map(lambda n: f"u{n}")),
+        st.tuples(st.just("remove_item"), st.integers(0, 8).map(lambda n: f"i{n}")),
+        st.tuples(st.just("materialize"), st.just(None)),
+    ),
+    max_size=25,
+)
+
+
+@given(records, edge_writes, st.booleans())
+@settings(deadline=None)
+def test_num_edges_counter_matches_adjacency(rows, writes, lazy):
+    """``num_edges`` is an O(1) counter; it always equals the dict scan."""
+    graph = from_click_records(rows)
+    if lazy:
+        graph = BipartiteGraph.from_indexed(graph.indexed())
+    for name, *args in writes:
+        if name == "add_click":
+            for user, item, clicks in args[0]:
+                graph.add_click(user, item, clicks)
+        elif name == "add_clicks":
+            graph.add_clicks(args[0])
+        elif name == "set_click":
+            graph.set_click(*args)
+        elif name == "materialize":
+            graph._materialize()
+        elif graph.has_user(args[0]) if name == "remove_user" else graph.has_item(args[0]):
+            getattr(graph, name)(args[0])
+        if not graph._lazy:
+            assert graph.num_edges == sum(len(adj) for adj in graph._users.values())
+    assert graph.num_edges == sum(1 for _ in graph.edges())
+    clone = pickle.loads(pickle.dumps(graph))
+    assert clone.num_edges == sum(len(adj) for adj in clone._users.values())

@@ -4,6 +4,9 @@ Every test drives the service in pump mode (or thread mode) on a
 :class:`SimulatedClock` — no test here ever sleeps on the wall clock.
 """
 
+import sys
+import threading
+
 import pytest
 
 from repro import obs
@@ -13,6 +16,7 @@ from repro.errors import ConfigError
 from repro.graph import BipartiteGraph
 from repro.resilience.faults import injecting
 from repro.serve import (
+    ClickEvent,
     DetectionService,
     ServeConfig,
     SimulatedClock,
@@ -179,6 +183,41 @@ def test_thread_mode_start_stop_is_deterministic_under_simulated_clock():
     assert clock.now() >= 0.0
 
 
+def test_graph_size_reads_race_the_pump_thread_without_losing_clicks():
+    """A graph read folds the pending buffer, so readers must not race the
+    pump's appends and recheck folds: ``graph_size`` reads under the
+    service lock, and no click may go missing."""
+    service = make_service(
+        max_batch=7,
+        queue_capacity=10_000,
+        staleness=StalenessPolicy(max_dirty=None, max_batches=1, max_age=None),
+    )
+    stop = threading.Event()
+
+    def read():
+        while not stop.is_set():
+            service.graph_size()
+
+    readers = [threading.Thread(target=read) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        service.start()
+        for reader in readers:
+            reader.start()
+        for n in range(3_000):
+            service.submit(f"u{n}", f"i{n % 50}", 1)
+        service.stop(drain=True)
+    finally:
+        stop.set()
+        for reader in readers:
+            reader.join(timeout=30.0)
+        sys.setswitchinterval(interval)
+    assert not any(reader.is_alive() for reader in readers)
+    assert service.graph_size() == (3_000, 50, 3_000)
+    assert service.online.graph.total_clicks == 3_000
+
+
 # ----------------------------------------------------------------------
 # Checkpoint parity
 # ----------------------------------------------------------------------
@@ -193,6 +232,35 @@ def test_checkpoint_equals_one_shot_batch_detection():
     expected = RICDDetector(params=PARAMS, engine="reference").detect(service.online.graph)
     assert canonical_result(streamed) == canonical_result(expected)
     assert streamed.suspicious_users  # the planted attack actually trips detection
+
+
+def test_cold_ingest_of_100k_events_between_rechecks_never_rebuilds_the_index():
+    """The live graph's pending buffer folds at the graph's own size, so
+    even >100k events between two rechecks keep the array index on
+    merges: no from-scratch ``graph.indexed.misses``, before or at the
+    recheck."""
+    events = 120_000
+    service = DetectionService.over_graph(
+        BipartiteGraph(),
+        params=PARAMS,
+        engine="auto",
+        config=ServeConfig(
+            queue_capacity=events + 1,
+            max_batch=30_000,
+            staleness=StalenessPolicy(max_dirty=None, max_batches=10**9, max_age=None),
+        ),
+        clock=SimulatedClock(),
+    )
+    with obs.recording(obs.Recorder()) as recorder:
+        service.submit_events(
+            ClickEvent(f"u{n % 40_000}", f"i{n * 7 % 3_001}", 1 + n % 3) for n in range(events)
+        )
+        assert all(service.pump().recheck_reason is None for _ in range(4))
+        service.checkpoint()
+    assert service.snapshot().applied == events
+    assert recorder.counters.get("graph.indexed.misses", 0) == 0
+    assert recorder.counters["graph.indexed.delta_builds"] >= 1
+    assert service.online.graph.total_clicks == sum(1 + n % 3 for n in range(events))
 
 
 # ----------------------------------------------------------------------
