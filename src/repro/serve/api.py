@@ -32,18 +32,27 @@ end-to-end test pins without sleeping (simulated clock + explicit pump).
 
 Node ids are matched by string form — the store stringifies ids exactly
 like the click-table format, so live and resumed processes answer
-identically.
+identically.  A verdict is one dict lookup: the first read of each served
+result builds a per-side ``str(node) -> (suspicious, score, groups)``
+index, so a read costs the same whatever the result's size.
+
+Every response — 200s, errors, large result bodies — reaches the socket
+in one write.  A reply split into a header write and a body write stalls
+each keep-alive request on Nagle's algorithm until the client's delayed
+ACK (~40 ms).  ``PUT``, ``PATCH``, ``DELETE`` and ``HEAD`` get a JSON
+``405``.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import ReproError, StoreError
 from ..store.serialization import result_to_json
+from .queue import ClickEvent
 
 __all__ = [
     "ApiError",
@@ -196,6 +205,33 @@ class CheckpointResponse:
     groups: int
 
 
+#: The verdict of a node the result does not mention.
+_CLEAR = (False, None, ())
+
+
+def _side_index(result, side: str) -> "dict[str, tuple]":
+    """Every node ``result`` mentions on ``side``, keyed by string id.
+
+    The same answer as scanning ``result`` per read: suspicious if any
+    node's string form matches, the score of the first match in score
+    order, and the rank of every group with a match, ascending.
+    """
+    users = side == "user"
+    members = result.suspicious_users if users else result.suspicious_items
+    flagged = {str(node) for node in members}
+    scores: dict[str, float] = {}
+    for node, value in (result.user_scores if users else result.item_scores).items():
+        scores.setdefault(str(node), float(value))
+    ranks: dict[str, list[int]] = {}
+    for rank, group in enumerate(result.groups):
+        for key in {str(node) for node in (group.users if users else group.items)}:
+            ranks.setdefault(key, []).append(rank)
+    return {
+        key: (key in flagged, scores.get(key), tuple(ranks.get(key, ())))
+        for key in flagged | scores.keys() | ranks.keys()
+    }
+
+
 # ----------------------------------------------------------------------
 # The typed API core
 # ----------------------------------------------------------------------
@@ -209,13 +245,16 @@ class DetectionAPI:
 
     def __init__(self, service):
         self.service = service
+        self._indexed: "tuple[object, dict[str, dict]] | None" = None
 
     # -- writes ---------------------------------------------------------
     def submit_clicks(self, request: SubmitClicksRequest) -> SubmitClicksResponse:
         """Enqueue records; with ``pump`` also drain them into the graph."""
         service = self.service
-        for user, item, clicks in request.records:
-            service.submit(user, item, clicks)
+        now = service.clock.now()
+        service.submit_events(
+            [ClickEvent(user, item, clicks, now) for user, item, clicks in request.records]
+        )
         applied_before = service.snapshot().applied
         if request.pump:
             service.pump_until_idle()
@@ -224,7 +263,7 @@ class DetectionAPI:
             accepted=len(request.records),
             applied=snapshot.applied - applied_before,
             queue_depth=snapshot.queue.depth,
-            store_version=service.store_version,
+            store_version=snapshot.store_version,
         )
 
     def pump(self) -> SubmitClicksResponse:
@@ -236,14 +275,21 @@ class DetectionAPI:
             accepted=0,
             applied=snapshot.applied - before,
             queue_depth=snapshot.queue.depth,
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
         )
 
     def checkpoint(self) -> CheckpointResponse:
-        """Exact full sync; store-backed services compact at this point."""
-        result = self.service.checkpoint()
+        """Exact full sync; store-backed services compact at this point.
+
+        The counts and the version come from one snapshot taken after the
+        sync, so they describe the same committed result even when the
+        pump thread commits again in between.
+        """
+        self.service.checkpoint()
+        snapshot = self.service.snapshot()
+        result = snapshot.result
         return CheckpointResponse(
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
             suspicious_users=len(result.suspicious_users),
             suspicious_items=len(result.suspicious_items),
             groups=len(result.groups),
@@ -251,26 +297,11 @@ class DetectionAPI:
 
     # -- reads ----------------------------------------------------------
     def verdict(self, request: VerdictRequest) -> VerdictResponse:
-        """The live verdict for one node, matched by string id."""
+        """The live verdict for one node, matched by string id (one lookup)."""
         snapshot = self.service.snapshot()
         result = snapshot.result
-        suspicious_set = (
-            result.suspicious_users if request.side == "user" else result.suspicious_items
-        )
-        scores = result.user_scores if request.side == "user" else result.item_scores
-        suspicious = any(str(node) == request.node for node in suspicious_set)
-        score = None
-        for node, value in scores.items():
-            if str(node) == request.node:
-                score = float(value)
-                break
-        groups = tuple(
-            index
-            for index, group in enumerate(result.groups)
-            if any(
-                str(node) == request.node
-                for node in (group.users if request.side == "user" else group.items)
-            )
+        suspicious, score, groups = self._index(result, request.side).get(
+            request.node, _CLEAR
         )
         return VerdictResponse(
             node=request.node,
@@ -278,11 +309,29 @@ class DetectionAPI:
             suspicious=suspicious,
             score=score,
             groups=groups,
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
             degraded=snapshot.degraded,
             stale=result.stale,
             level=snapshot.level,
         )
+
+    def _index(self, result, side: str) -> dict:
+        """``str(node) -> (suspicious, score, groups)`` for one side of ``result``.
+
+        Built on the first read of each served result object and kept
+        until the service publishes a different one.  Request threads
+        share it without a lock: each thread holds the ``(result,
+        indexes)`` pair it read, so a concurrent rebuild for a newer
+        result never mixes two results' answers; a race costs at most a
+        duplicate build.
+        """
+        cached = self._indexed
+        if cached is None or cached[0] is not result:
+            cached = self._indexed = (result, {})
+        index = cached[1].get(side)
+        if index is None:
+            index = cached[1][side] = _side_index(result, side)
+        return index
 
     def group(self, index: int) -> GroupVerdictResponse:
         """Composition of the group at rank ``index`` (largest first)."""
@@ -296,7 +345,7 @@ class DetectionAPI:
             users=tuple(sorted(str(node) for node in group.users)),
             items=tuple(sorted(str(node) for node in group.items)),
             hot_items=tuple(sorted(str(node) for node in group.hot_items)),
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
             degraded=snapshot.degraded,
             stale=snapshot.result.stale,
         )
@@ -306,7 +355,7 @@ class DetectionAPI:
         if request.version is None:
             snapshot = self.service.snapshot()
             return ResultResponse(
-                store_version=self.service.store_version,
+                store_version=snapshot.store_version,
                 live=True,
                 result=result_to_json(snapshot.result),
                 degraded=snapshot.degraded,
@@ -342,7 +391,7 @@ class DetectionAPI:
             applied=snapshot.applied,
             rechecks=snapshot.rechecks,
             degraded=snapshot.degraded,
-            store_version=self.service.store_version,
+            store_version=snapshot.store_version,
             store_versions=tuple(store.versions()) if store is not None else (),
             num_users=num_users,
             num_items=num_items,
@@ -370,12 +419,27 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.api  # type: ignore[attr-defined]
 
     def _send(self, status: int, payload: dict) -> None:
+        """Write the status line, headers and JSON body in one ``sendall``.
+
+        The stdlib's ``end_headers()`` sends the headers on their own and
+        the body in a second write; with Nagle's algorithm on, that small
+        second segment waits for the client's delayed ACK (~40 ms on
+        Linux) on every keep-alive response.  One write per response has
+        nothing to hold back, whatever the body's size.
+        """
         body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        head = (
+            f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            + ("Allow: GET, POST\r\n" if status == 405 else "")
+            + ("Connection: close\r\n" if self.close_connection else "")
+            + "\r\n"
+        )
+        # A reply to HEAD carries the headers a GET would, but no content.
+        self.wfile.write(head.encode("latin-1") + (b"" if self.command == "HEAD" else body))
 
     def _dispatch(self, method: str) -> None:
         try:
@@ -385,9 +449,13 @@ class _Handler(BaseHTTPRequestHandler):
         except ReproError as error:
             self._send(500, {"error": str(error)})
         else:
-            self._send(200, asdict(response))
+            # Response fields are already JSON-ready (strings, numbers,
+            # tuples, the result dict): no asdict deep copy on the way out.
+            self._send(200, vars(response))
 
     def _route(self, method: str):
+        if method not in ("GET", "POST"):
+            raise ApiError(f"method {method} not allowed", status=405)
         parts = [part for part in self.path.split("?")[0].split("/") if part]
         if len(parts) < 2 or parts[0] != "v1":
             raise ApiError(f"unknown route {self.path!r}", status=404)
@@ -447,7 +515,7 @@ class _Handler(BaseHTTPRequestHandler):
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler name
         self._dispatch("GET")
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib handler name
+    def _read_then_dispatch(self) -> None:
         try:
             self._raw_body = self._read_body()
         except ApiError as error:
@@ -456,7 +524,11 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             self._send(error.status, {"error": str(error)})
             return
-        self._dispatch("POST")
+        self._dispatch(self.command)
+
+    # Methods the API does not serve still consume their declared body,
+    # so the keep-alive connection survives their JSON 405.
+    do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = _read_then_dispatch
 
 
 class ApiServer(ThreadingHTTPServer):

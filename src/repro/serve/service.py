@@ -133,9 +133,13 @@ class ServiceSnapshot:
     fault-free detection state: the ladder sits above normal, events were
     shed since the last recheck, or the underlying result is stale
     (recheck failure) / carries its own degradation provenance.
+    ``store_version`` is the store head (``None`` storeless) read under
+    the same lock as ``result``, so no commit of the pump thread can fall
+    between the two reads.
     """
 
     result: DetectionResult
+    store_version: int | None
     degraded: bool
     provenance: tuple[str, ...]
     level: str
@@ -526,6 +530,7 @@ class DetectionService:
             )
             return ServiceSnapshot(
                 result=result,
+                store_version=self.store_version,
                 degraded=degraded,
                 provenance=tuple(self._provenance),
                 level=_LEVELS[self._level],

@@ -8,14 +8,21 @@ process on the same store, get the same verdict at the same store
 version.
 """
 
+import io
 import json
+import sys
+import threading
+import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 from http.client import HTTPConnection
+from types import SimpleNamespace
 
 import pytest
 
 from repro.config import RICDParams
+from repro.core.groups import DetectionResult, SuspiciousGroup
 from repro.datagen import tiny_scenario
 from repro.serve import (
     ApiError,
@@ -29,10 +36,15 @@ from repro.serve import (
     VerdictRequest,
     serve_api,
 )
+from repro.serve.api import _Handler
 
 pytestmark = pytest.mark.servertest
 
 PARAMS = RICDParams(k1=4, k2=4)
+# The tiny scenario's derived thresholds, pinned: with them fixed, every
+# replica of its planted group (below) is flagged as a group of its own,
+# so the served result grows by one group per replica.
+PINNED = RICDParams(k1=4, k2=4, t_hot=97.0, t_click=12.0)
 
 
 @pytest.fixture(scope="module")
@@ -45,14 +57,80 @@ def scenario_records():
     ]
 
 
-def make_service(store_root):
+def replica(graph, copy: int) -> tuple:
+    """The planted group's clicks under fresh worker and target ids.
+
+    The workers (``w0_*``) keep their clicks on the hot items they ride
+    and on the targets (``t0_*``); both get ids unique to ``copy``.
+    """
+    return tuple(
+        (f"r{copy}_{user[3:]}", f"r{copy}t_{item[3:]}" if item.startswith("t0_") else item,
+         graph.get_click(user, item))
+        for user in sorted(str(user) for user in graph.users() if str(user).startswith("w0_"))
+        for item in sorted(str(item) for item in graph.user_neighbors(user))
+        if item.startswith("t0_") or item in ("i3", "i17")
+    )
+
+
+def scan_verdict(result, side: str, node: str) -> tuple:
+    """The per-read scan the verdict index replaced, kept as its oracle."""
+    users = side == "user"
+    members = result.suspicious_users if users else result.suspicious_items
+    scores = result.user_scores if users else result.item_scores
+    score = next((float(value) for key, value in scores.items() if str(key) == node), None)
+    groups = tuple(
+        rank
+        for rank, group in enumerate(result.groups)
+        if any(str(key) == node for key in (group.users if users else group.items))
+    )
+    return any(str(key) == node for key in members), score, groups
+
+
+def answer(verdict) -> tuple:
+    return verdict.suspicious, verdict.score, verdict.groups
+
+
+@pytest.fixture(scope="module")
+def replicated(tmp_path_factory, scenario_records):
+    """An API serving the tiny scenario plus 24 replicas of its planted group.
+
+    Its ``GET /v1/result`` body is over 8 KiB, larger than a stdlib
+    buffered writer holds.
+    """
+    graph = tiny_scenario().graph
+    records = tuple(scenario_records) + sum((replica(graph, copy) for copy in range(24)), ())
+    api = DetectionAPI(make_service(tmp_path_factory.mktemp("store"), params=PINNED))
+    api.submit_clicks(SubmitClicksRequest(records=records, pump=True))
+    api.checkpoint()
+    return api, records
+
+
+def make_service(store_root, params=PARAMS):
     return DetectionService.from_store(
         store_root,
-        params=PARAMS,
+        params=params,
         engine="reference",
         config=ServeConfig(staleness=StalenessPolicy(max_batches=10**9)),
         clock=SimulatedClock(),
     )
+
+
+class CountingSocket:
+    """A connection that reads back one request's bytes and records each send."""
+
+    def __init__(self, request: bytes):
+        self.request = request
+        self.sends: list = []
+
+    def makefile(self, mode, buffering=-1):
+        return io.BytesIO(self.request)
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+
+    def send(self, data):
+        self.sends.append(bytes(data))
+        return len(data)
 
 
 def http(port, method, path, body=None):
@@ -65,9 +143,9 @@ def http(port, method, path, body=None):
     )
     try:
         with urllib.request.urlopen(request) as response:
-            return response.status, json.loads(response.read())
+            return response.status, json.loads(response.read() or "null")
     except urllib.error.HTTPError as error:
-        return error.code, json.loads(error.read())
+        return error.code, json.loads(error.read() or "null")
 
 
 class TestRequestParsing:
@@ -157,6 +235,132 @@ class TestTypedCore:
         assert status.level == "normal"
 
 
+class TestVerdictIndex:
+    """A verdict is one lookup in a per-result index; the scan is the oracle."""
+
+    def test_every_node_of_a_result_answers_like_the_scan(self, replicated):
+        api, records = replicated
+        result = api.service.result
+        assert len(result.groups) == 25
+        nodes = {
+            "user": {user for user, _, _ in records} | {"nobody", ""},
+            "item": {item for _, item, _ in records} | {"nothing", "r0_0"},
+        }
+        for side, ids in nodes.items():
+            for node in sorted(ids):
+                verdict = api.verdict(VerdictRequest(side=side, node=node))
+                assert answer(verdict) == scan_verdict(result, side, node), (side, node)
+
+    def test_ids_whose_string_forms_collide(self, tmp_path):
+        service = make_service(tmp_path / "store")
+        result = DetectionResult(
+            suspicious_users={1},
+            suspicious_items={"7"},
+            groups=[
+                SuspiciousGroup(users={"1"}, items={7}),
+                SuspiciousGroup(users={2}, items={"8"}),
+                SuspiciousGroup(users={1, "1"}, items={7, "7"}),
+            ],
+            user_scores={1: 2.0, 2: 1.0, "1": 5.0},
+            item_scores={"7": 0.5, 7: 3.0},
+        )
+        api = DetectionAPI(SimpleNamespace(snapshot=lambda: replace(service.snapshot(), result=result)))
+        for side, node in [("user", "1"), ("user", "2"), ("item", "7"), ("item", "8"),
+                           ("user", "3"), ("item", "1")]:
+            verdict = api.verdict(VerdictRequest(side=side, node=node))
+            assert answer(verdict) == scan_verdict(result, side, node), (side, node)
+        assert answer(api.verdict(VerdictRequest(side="user", node="1"))) == (True, 2.0, (0, 2))
+
+    def test_index_follows_a_newly_published_result(self, tmp_path, scenario_records):
+        api = DetectionAPI(make_service(tmp_path / "store"))
+        worker = VerdictRequest(side="user", node="w0_0")
+        assert answer(api.verdict(worker)) == (False, None, ())
+        api.submit_clicks(SubmitClicksRequest(records=tuple(scenario_records), pump=True))
+        api.checkpoint()
+        result = api.service.result
+        assert answer(api.verdict(worker)) == scan_verdict(result, "user", "w0_0")
+        assert api.verdict(worker).suspicious
+
+
+class TestStoreVersionRace:
+    """Every verdict cites the store version of the result it answered from."""
+
+    class PreemptedReads(DetectionService):
+        """Request threads stall right after reading the served state.
+
+        In a thread that sets ``readers.stall``, ``snapshot()`` returns
+        only once the pump thread has committed a newer store version (or
+        1 s passed): the widest
+        gap a preempted request thread can suffer between reading the
+        state and answering from it.
+        """
+
+        readers = threading.local()
+
+        def snapshot(self):
+            snapshot = super().snapshot()
+            if getattr(self.readers, "stall", False):
+                seen, deadline = self.store_version, time.monotonic() + 1.0
+                while self.store_version == seen and time.monotonic() < deadline:
+                    time.sleep(1e-4)
+            return snapshot
+
+    def test_verdicts_racing_the_pump_thread_cite_their_version(self, tmp_path, scenario_records):
+        graph = tiny_scenario().graph
+        service = self.PreemptedReads.from_store(
+            tmp_path / "store",
+            params=PINNED,
+            engine="auto",
+            config=ServeConfig(staleness=StalenessPolicy(max_batches=1), poll_interval=1e-3),
+        )
+        api = DetectionAPI(service)
+        api.submit_clicks(SubmitClicksRequest(records=tuple(scenario_records), pump=True))
+        copies, in_flight, stop = 12, [0], threading.Event()
+        seen: list = []
+
+        def read(reader: int) -> None:
+            self.PreemptedReads.readers.stall = reader % 2 == 0
+            turn = 0
+            while not stop.is_set():
+                # The copy being written, or the next one: a stalled read
+                # of the next copy spans the commit that flags it.
+                copy, turn = in_flight[0] + turn % 2, turn + 1
+                side, node = ("user", f"r{copy}_0") if turn % 4 < 2 else ("item", f"r{copy}t_0")
+                verdict = api.verdict(VerdictRequest(side=side, node=node))
+                seen.append((side, node, verdict.store_version, answer(verdict)))
+
+        readers = [threading.Thread(target=read, args=(n,)) for n in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            service.start()
+            for reader in readers:
+                reader.start()
+            for copy in range(copies):
+                head, deadline = service.store_version, time.monotonic() + 10.0
+                in_flight[0] = copy
+                api.submit_clicks(SubmitClicksRequest(records=replica(graph, copy)))
+                while service.store_version == head and time.monotonic() < deadline:
+                    time.sleep(1e-3)
+            service.stop(drain=True)
+        finally:
+            stop.set()
+            for reader in readers:
+                reader.join(timeout=30.0)
+            sys.setswitchinterval(interval)
+            service.stop(drain=False)
+        assert not any(reader.is_alive() for reader in readers)
+        assert len(service.result.groups) == copies + 1
+        stored: dict = {}
+        wrong = []
+        for side, node, version, got in seen:
+            if version not in stored:
+                stored[version] = service.store.load_result(version)
+            if got != scan_verdict(stored[version], side, node):
+                wrong.append((side, node, version, got))
+        assert len(stored) > copies // 2 and not wrong, f"{len(wrong)} of {len(seen)}: {wrong[:3]}"
+
+
 class TestHTTPServer:
     @pytest.fixture()
     def served(self, tmp_path, scenario_records):
@@ -201,13 +405,64 @@ class TestHTTPServer:
             ("GET", "/v1/result/not-a-number", 400),
             ("GET", "/v1/verdict/group/999", 404),
             ("POST", "/v1/verdict/user/u1", 404),
+            ("PUT", "/v1/clicks", 405),
+            ("PATCH", "/v1/status", 405),
+            ("DELETE", "/v1/result", 405),
+            ("HEAD", "/v1/status", 405),
         ],
     )
     def test_error_routing(self, served, method, path, expected):
         _, port = served
-        status, body = http(port, method, path, {} if method == "POST" else None)
+        status, body = http(port, method, path, {} if method in ("POST", "PUT") else None)
         assert status == expected
-        assert "error" in body
+        if method == "HEAD":
+            assert body is None  # a reply to HEAD has headers only
+        else:
+            assert "error" in body
+
+    def test_keep_alive_survives_a_405(self, served):
+        _, port = served
+        connection = HTTPConnection("127.0.0.1", port, timeout=10)
+        try:
+            connection.request("PUT", "/v1/clicks", body=b'{"records": []}')
+            response = connection.getresponse()
+            assert response.status == 405
+            assert response.getheader("Allow") == "GET, POST"
+            assert "error" in json.loads(response.read())
+            connection.request("GET", "/v1/status")
+            response = connection.getresponse()
+            assert response.status == 200
+            assert "store_version" in json.loads(response.read())
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, min_body",
+        [
+            (b"GET /v1/verdict/user/r0_0 HTTP/1.1\r\n\r\n", 200, 0),
+            (
+                b"POST /v1/clicks HTTP/1.1\r\nContent-Length: 29\r\n\r\n"
+                b'{"records": [["x", "y", 1]]}\n',
+                200,
+                0,
+            ),
+            (b"GET /v1/verdict/group/999 HTTP/1.1\r\n\r\n", 404, 0),
+            (b"POST /v1/clicks HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400, 0),
+            (b"GET /v1/result HTTP/1.1\r\n\r\n", 200, 8 * 1024 + 1),
+        ],
+        ids=["verdict", "clicks", "api-error-404", "bad-content-length", "large-result"],
+    )
+    def test_every_response_is_one_send(self, replicated, request_bytes, status, min_body):
+        api, _ = replicated
+        connection = CountingSocket(request_bytes)
+        _Handler(connection, ("127.0.0.1", 0), SimpleNamespace(api=api))
+        assert len(connection.sends) == 1, [len(data) for data in connection.sends]
+        head, _, body = connection.sends[0].decode().partition("\r\n\r\n")
+        status_line, *header_lines = head.split("\r\n")
+        headers = dict(line.split(": ", 1) for line in header_lines)
+        assert status_line.startswith(f"HTTP/1.1 {status} ")
+        assert int(headers["Content-Length"]) == len(body) >= min_body
+        assert json.loads(body)
 
     def test_malformed_json_body_is_a_400(self, served):
         _, port = served
